@@ -43,24 +43,20 @@ type Stats struct {
 // Cache is the structural model.
 //
 // The tag store is struct-of-arrays: instead of a slab of
-// entry{gen, addr, dirty, thread} records, each field lives in its own
+// entry{valid, addr, dirty, thread} records, each field lives in its own
 // dense column indexed by set*ways+way. The probe loop touches only the
-// two hot columns — the validity stamps and the block addresses — so a
-// 16-way set's probe plane is 2×128 contiguous bytes (two cache lines
-// per column) instead of 16 records dragging the cold dirty/thread
-// bytes through the scan. Validity is a generation stamp: a slot is
-// live iff gens[i] equals the cache's current generation, so Reset
-// invalidates the whole store by bumping one counter, and every read
-// path folds the stamp check into the tag compare.
+// hot tag column, so a 16-way set's probe plane is 128 contiguous bytes
+// (two cache lines) instead of 16 records dragging the cold dirty/thread
+// bytes through the scan. Validity lives in the tag column itself: a
+// slot's tag is its block address plus one, and the sentinel 0 marks an
+// empty slot, so the tag compare is also the validity check.
 type Cache struct {
 	params config.CacheParams
 	sets   int
 	ways   int
-	gen    uint64 // current validity generation (starts at 1; 0 = never valid)
 
-	// Hot probe plane: one stamp and one address per slot.
-	gens  []uint64
-	addrs []uint64
+	// Hot probe plane: one tag (see tagOf) per slot, emptyTag if none.
+	tags []uint64
 	// Cold payload columns, touched only on hits and state changes.
 	dirty   []uint8
 	threads []int32
@@ -70,6 +66,14 @@ type Cache struct {
 	// Stats is exported for the owning level to read.
 	Stats Stats
 }
+
+// emptyTag marks an empty slot. Tags are block addresses biased by one
+// so that the zeroed column make returns is an empty tag store: New
+// never writes it. Block addresses are physical addresses shifted right
+// by the block offset, so the bias never wraps.
+const emptyTag = 0
+
+func tagOf(b addr.BlockAddr) uint64 { return uint64(b) + 1 }
 
 // New builds a cache from validated parameters. threads sizes the
 // thread-aware policies; seed fixes their random components.
@@ -99,25 +103,17 @@ func New(p config.CacheParams, threads int, seed int64) (*Cache, error) {
 		params:  p,
 		sets:    p.Sets(),
 		ways:    p.Ways,
-		gen:     1,
-		gens:    make([]uint64, n),
-		addrs:   make([]uint64, n),
+		tags:    make([]uint64, n),
 		dirty:   make([]uint8, n),
 		threads: make([]int32, n),
 		policy:  pol,
 	}, nil
 }
 
-// Reset returns the cache to power-on state: every block invalid (one
-// generation bump), replacement state re-derived from seed exactly as
-// New would, statistics zeroed. The tag columns and policy arrays are
-// retained, so a reset cache behaves bit-identically to a fresh one
-// without reallocating.
-func (c *Cache) Reset(seed int64) {
-	c.gen++
-	c.policy.Reset(seed)
-	c.Stats = Stats{}
-}
+// Reseed restarts the replacement policy's random stream as New with
+// seed would. Restoring a power-on snapshot and reseeding yields the
+// cache New(params, threads, seed) builds.
+func (c *Cache) Reseed(seed int64) { c.policy.Reseed(seed) }
 
 // Params returns the configured parameters.
 func (c *Cache) Params() config.CacheParams { return c.params }
@@ -136,13 +132,12 @@ func (c *Cache) SetOf(b addr.BlockAddr) int {
 // slot returns the column index of (set, way).
 func (c *Cache) slot(set, way int) int { return set*c.ways + way }
 
-// validAt reports whether the slot's contents belong to the current
-// generation.
-func (c *Cache) validAt(i int) bool { return c.gens[i] == c.gen }
+// validAt reports whether the slot holds a block.
+func (c *Cache) validAt(i int) bool { return c.tags[i] != emptyTag }
 
 // BlockAt exposes the tag entry at (set, way) for diagnostics and for
 // mechanisms (VWQ, DAWB) that scan sets. Invalid slots read as the zero
-// Block regardless of their stale contents.
+// Block regardless of their stale payload.
 func (c *Cache) BlockAt(set, way int) Block {
 	i := c.slot(set, way)
 	if !c.validAt(i) {
@@ -150,7 +145,7 @@ func (c *Cache) BlockAt(set, way int) Block {
 	}
 	return Block{
 		Valid:  true,
-		Addr:   addr.BlockAddr(c.addrs[i]),
+		Addr:   addr.BlockAddr(c.tags[i] - 1),
 		Dirty:  c.dirty[i] != 0,
 		Thread: int(c.threads[i]),
 	}
@@ -168,21 +163,19 @@ func b2u(b bool) uint64 {
 
 // find locates a block without touching statistics or recency.
 //
-// The way scan is branchless: every way's tag and stamp are compared
-// (XOR-fold, so validity costs no extra compare) and the per-way match
-// bits accumulate into one mask — no early exit, so the loop's trip
-// count is data-independent and the branch predictor has nothing to
-// mispredict. At most one way can match (the insert path never admits
-// duplicates), making TrailingZeros the unique hit way.
+// The way scan is branchless: every way's tag is compared (an empty
+// slot's sentinel never matches, so validity costs no extra compare)
+// and the per-way match bits accumulate into one mask — no early exit,
+// so the loop's trip count is data-independent and the branch predictor
+// has nothing to mispredict. At most one way can match (the insert path
+// never admits duplicates), making TrailingZeros the unique hit way.
 func (c *Cache) find(b addr.BlockAddr) (way int, ok bool) {
 	base := c.SetOf(b) * c.ways
-	gens := c.gens[base : base+c.ways]
-	addrs := c.addrs[base : base+c.ways : base+c.ways]
-	key, gen := uint64(b), c.gen
+	tags := c.tags[base : base+c.ways : base+c.ways]
+	key := tagOf(b)
 	var mask uint64
-	for w := range addrs {
-		miss := (addrs[w] ^ key) | (gens[w] ^ gen)
-		mask |= b2u(miss == 0) << uint(w)
+	for w := range tags {
+		mask |= b2u(tags[w] == key) << uint(w)
 	}
 	if mask == 0 {
 		return 0, false
@@ -242,7 +235,7 @@ func (c *Cache) Insert(b addr.BlockAddr, thread int, dirty bool) (victim Block) 
 	way := -1
 	base := set * c.ways
 	for w := 0; w < c.ways; w++ {
-		if c.gens[base+w] != c.gen {
+		if !c.validAt(base + w) {
 			way = w
 			break
 		}
@@ -256,8 +249,7 @@ func (c *Cache) Insert(b addr.BlockAddr, thread int, dirty bool) (victim Block) 
 		}
 	}
 	i := base + way
-	c.gens[i] = c.gen
-	c.addrs[i] = uint64(b)
+	c.tags[i] = tagOf(b)
 	c.dirty[i] = b2u8(dirty)
 	c.threads[i] = int32(thread)
 	c.policy.Insert(set, way, thread)
@@ -280,7 +272,7 @@ func (c *Cache) Invalidate(b addr.BlockAddr) (old Block, ok bool) {
 	}
 	set := c.SetOf(b)
 	old = c.BlockAt(set, way)
-	c.gens[c.slot(set, way)] = 0
+	c.tags[c.slot(set, way)] = emptyTag
 	return old, true
 }
 
@@ -306,9 +298,9 @@ func (c *Cache) IsDirty(b addr.BlockAddr) bool {
 // returns the extended slice, letting scan-heavy callers (flush loops,
 // AWB harvests) reuse one scratch buffer instead of allocating per call.
 func (c *Cache) DirtyBlocksInto(dst []addr.BlockAddr) []addr.BlockAddr {
-	for i := range c.gens {
+	for i := range c.tags {
 		if c.validAt(i) && c.dirty[i] != 0 {
-			dst = append(dst, addr.BlockAddr(c.addrs[i]))
+			dst = append(dst, addr.BlockAddr(c.tags[i]-1))
 		}
 	}
 	return dst
@@ -324,7 +316,7 @@ func (c *Cache) DirtyBlocks() []addr.BlockAddr {
 // CountValid returns the number of valid blocks (diagnostics).
 func (c *Cache) CountValid() int {
 	n := 0
-	for i := range c.gens {
+	for i := range c.tags {
 		if c.validAt(i) {
 			n++
 		}

@@ -34,11 +34,12 @@ func driveCache(c *Cache, seed int64) ([]bool, []Block, []addr.BlockAddr) {
 	return hits, victims, c.DirtyBlocks()
 }
 
-// TestCacheResetMatchesFresh dirties a cache with one workload, resets
-// it, replays a second workload, and requires the transcript to match a
-// factory-fresh cache running the same second workload with the same
-// seed — the generation-stamp validity scheme must hide every stale
-// entry, including replacement-policy state.
+// TestCacheResetMatchesFresh dirties a cache with one workload, rewinds
+// it to its power-on snapshot and reseeds it, replays a second workload,
+// and requires the transcript to match a factory-fresh cache running the
+// same second workload with the same seed — the restored sentinel
+// column must hide every stale entry, including replacement-policy
+// state.
 func TestCacheResetMatchesFresh(t *testing.T) {
 	for _, repl := range []config.ReplacementKind{config.ReplLRU, config.ReplTADIP} {
 		p := smallParams()
@@ -47,8 +48,11 @@ func TestCacheResetMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var powerOn CacheState
+		dirtied.Snapshot(&powerOn)
 		driveCache(dirtied, 1)
-		dirtied.Reset(99)
+		dirtied.Restore(&powerOn)
+		dirtied.Reseed(99)
 
 		fresh, err := New(p, 1, 99)
 		if err != nil {
@@ -60,7 +64,7 @@ func TestCacheResetMatchesFresh(t *testing.T) {
 			t.Errorf("%v: reset cache diverges from fresh cache", repl)
 		}
 		if dirtied.Stats != fresh.Stats {
-			t.Errorf("%v: stats diverge after reset: %+v vs %+v", repl, dirtied.Stats, fresh.Stats)
+			t.Errorf("%v: stats diverge after rewind: %+v vs %+v", repl, dirtied.Stats, fresh.Stats)
 		}
 	}
 }
@@ -88,11 +92,13 @@ func TestDirtyBlocksInto(t *testing.T) {
 	}
 }
 
-// TestMSHRReset empties a half-full MSHR and verifies it behaves like a
-// new file: capacity restored, no phantom outstanding entries, waiters
-// from before the reset never fire.
+// TestMSHRReset rewinds a full MSHR to its power-on snapshot and
+// verifies it behaves like a new file: capacity restored, no phantom
+// outstanding entries, waiters from before the rewind never fire.
 func TestMSHRReset(t *testing.T) {
 	m := NewMSHR(4)
+	var powerOn MSHRState
+	m.Snapshot(&powerOn)
 	stale := 0
 	for i := 0; i < 4; i++ {
 		m.Register(uint64(i), func() { stale++ })
@@ -100,13 +106,13 @@ func TestMSHRReset(t *testing.T) {
 	if !m.Full() {
 		t.Fatal("MSHR not full after capacity registrations")
 	}
-	m.Reset()
+	m.Restore(&powerOn)
 	if m.Len() != 0 || m.Full() {
-		t.Fatalf("after Reset: len=%d full=%v", m.Len(), m.Full())
+		t.Fatalf("after rewind: len=%d full=%v", m.Len(), m.Full())
 	}
 	for i := 0; i < 4; i++ {
 		if m.Outstanding(uint64(i)) {
-			t.Fatalf("block %d still outstanding after Reset", i)
+			t.Fatalf("block %d still outstanding after rewind", i)
 		}
 	}
 	// Full capacity is available again and completion runs only the new

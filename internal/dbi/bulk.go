@@ -7,7 +7,7 @@ import "dbisim/internal/addr"
 // DRAM row/bank hold dirty blocks", "flush everything" and "is any block
 // of this DMA range dirty" are answered with a handful of entry scans
 // instead of a full tag-store walk. The scans walk the flat columns
-// directly: validity stamps first (one dense array), bit words only for
+// directly: valid flags first (one dense array), bit words only for
 // live entries.
 
 // RowHasDirty reports whether any block of the DRAM row is dirty
@@ -30,7 +30,7 @@ func (d *DBI) RowHasDirty(r addr.RowID) bool {
 // write scheduling.
 func (d *DBI) BankHasDirty(bank int) bool {
 	d.Stat.Lookups.Inc()
-	for e := range d.stamps {
+	for e := range d.valid {
 		if !d.validAt(e) || d.dirtyCountOf(e) == 0 {
 			continue
 		}
@@ -49,7 +49,7 @@ func (d *DBI) BankHasDirty(bank int) bool {
 func (d *DBI) AllDirtyBlocks() []addr.BlockAddr {
 	d.Stat.Lookups.Inc()
 	var out []addr.BlockAddr
-	for e := range d.stamps {
+	for e := range d.valid {
 		if d.validAt(e) {
 			out = d.blocksOfInto(e, out)
 		}
@@ -63,7 +63,7 @@ func (d *DBI) AllDirtyBlocks() []addr.BlockAddr {
 // dirty.
 func (d *DBI) Flush() []Eviction {
 	var evs []Eviction
-	for e := range d.stamps {
+	for e := range d.valid {
 		if d.validAt(e) {
 			evs = append(evs, d.evict(e, nil))
 		}
@@ -109,25 +109,4 @@ func (d *DBI) DirtyInRange(lo, hi addr.BlockAddr) []addr.BlockAddr {
 		}
 	}
 	return out
-}
-
-// OldestDirtyRow returns the dirty blocks of the least recently written
-// valid entry, or nil when nothing is dirty. Eager-writeback scheduling
-// (Section 7) uses it to pick the row least likely to absorb further
-// writes before flushing it during memory idle time.
-func (d *DBI) OldestDirtyRow() []addr.BlockAddr {
-	d.Stat.Lookups.Inc()
-	best := -1
-	for e := range d.stamps {
-		if !d.validAt(e) || d.dirtyCountOf(e) == 0 {
-			continue
-		}
-		if best < 0 || d.lastWrite[e] < d.lastWrite[best] {
-			best = e
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	return d.blocksOf(best)
 }

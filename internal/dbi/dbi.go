@@ -28,14 +28,13 @@
 // The index is struct-of-arrays. There is no per-entry record and, in
 // particular, no per-entry heap-allocated bit vector: every entry's
 // dirty bits live in one flat backing array (entry i owns
-// words[i*wpe : (i+1)*wpe]), and the region tags, validity stamps and
-// replacement metadata each occupy their own dense column. The probe
-// loop touches only the stamp and region columns — for a 4-way set that
-// is 2×32 contiguous bytes — scanning the region tags first and
-// confirming the validity stamp only on a tag match. An entry is valid
-// iff its stamp equals the DBI's current generation (stamp 0 = never
-// valid), which is also what lets the simulator's Reset path invalidate
-// everything by bumping one counter.
+// words[i*wpe : (i+1)*wpe]), and the valid flags, region tags and
+// replacement metadata each occupy their own dense column — the paper's
+// {valid, row tag, dirty bit-vector} entry, split by field. The probe
+// loop scans the region column and confirms the valid flag only on a
+// tag match. Validity cannot hide in the region column: the service
+// tracker accepts every uint64 key, so no region value is free to serve
+// as an empty-slot sentinel.
 package dbi
 
 import (
@@ -94,11 +93,9 @@ type DBI struct {
 	granularity int
 	regionShift uint
 
-	gen uint64 // current validity generation (starts at 1; 0 = never valid)
-
-	// Hot probe plane: one stamp and one region tag per entry.
-	stamps  []uint64
+	// Hot probe plane: one region tag and one valid flag per entry.
 	regions []RegionID
+	valid   []bool
 	// Replacement metadata columns.
 	lastWrite []uint64 // LRW stamp; larger = more recently written
 	rwpv      []uint8  // re-write prediction value (RWIP policy)
@@ -162,9 +159,8 @@ func New(opts ...Option) (*DBI, error) {
 		sets:        sets,
 		ways:        prm.Associativity,
 		granularity: prm.Granularity,
-		gen:         1,
-		stamps:      make([]uint64, n),
 		regions:     make([]RegionID, n),
+		valid:       make([]bool, n),
 		lastWrite:   make([]uint64, n),
 		rwpv:        make([]uint8, n),
 		words:       make([]uint64, n*wpe),
@@ -180,21 +176,10 @@ func New(opts ...Option) (*DBI, error) {
 	return d, nil
 }
 
-// Reset returns the DBI to power-on state for a new run with the given
-// seed, reusing every allocation. Validity is a generation stamp, so
-// the whole index invalidates with one counter bump; the metadata
-// columns and bit words of stale entries are rewritten on their next
-// insert before any read path can observe them, which is what makes a
-// reset DBI behave bit-identically to the DBI New would build.
-func (d *DBI) Reset(seed int64) {
-	d.gen++
-	d.clock = 0
-	d.rng.Seed(seed)
-	st := &d.Stat
-	st.Lookups, st.Writes, st.Cleans = 0, 0, 0
-	st.EntryInserts, st.Evictions, st.EvictionBlocks = 0, 0, 0
-	st.DirtyAtEviction.Reset()
-}
+// Reseed restarts the replacement rng as New with WithSeed(seed) would.
+// Restoring a power-on snapshot and reseeding yields the DBI New builds
+// with that seed.
+func (d *DBI) Reseed(seed int64) { d.rng.Seed(seed) }
 
 func log2(v uint64) uint {
 	var n uint
@@ -241,11 +226,11 @@ func (d *DBI) setOf(r RegionID) int {
 	return int((h >> 32) & uint64(d.sets-1))
 }
 
-// validAt reports whether entry e is live in the current generation.
-func (d *DBI) validAt(e int) bool { return d.stamps[e] == d.gen }
+// validAt reports whether entry e is live.
+func (d *DBI) validAt(e int) bool { return d.valid[e] }
 
-// invalidate marks entry e never-valid (stamp 0, like a fresh slot).
-func (d *DBI) invalidate(e int) { d.stamps[e] = 0 }
+// invalidate frees entry e.
+func (d *DBI) invalidate(e int) { d.valid[e] = false }
 
 // bit vector accessors over the flat backing store.
 func (d *DBI) bit(e, i int) bool { return d.words[e*d.wpe+(i>>6)]&(1<<(i&63)) != 0 }
@@ -271,19 +256,18 @@ func (d *DBI) dirtyCountOf(e int) int {
 // find locates the entry index for a region without counting a lookup,
 // or returns -1. The way scan walks the dense region column with the
 // region tag as the primary compare (it is the selective one — the
-// stamp matches every live entry) and confirms validity only on a tag
-// match. Unlike the cache's 16-way probe plane, the DBI's hit
+// valid flag is set on every live entry) and confirms validity only on
+// a tag match. Unlike the cache's 16-way probe plane, the DBI's hit
 // distribution is front-loaded (inserts fill way 0 first and sets are
 // sparsely occupied), so an early exit beats a fixed-trip branchless
 // scan here; the columnar layout still keeps the whole scan inside two
 // cache lines per column.
 func (d *DBI) find(r RegionID) int {
 	base := d.setOf(r) * d.ways
-	stamps := d.stamps[base : base+d.ways]
+	valid := d.valid[base : base+d.ways]
 	regions := d.regions[base : base+d.ways : base+d.ways]
-	key, gen := uint64(r), d.gen
 	for w := range regions {
-		if uint64(regions[w]) == key && stamps[w] == gen {
+		if regions[w] == r && valid[w] {
 			return base + w
 		}
 	}
@@ -342,7 +326,7 @@ func (d *DBI) SetDirtyInto(b addr.BlockAddr, scratch []addr.BlockAddr) (ev Evict
 		evicted = true
 	}
 	e := set*d.ways + way
-	d.stamps[e] = d.gen
+	d.valid[e] = true
 	d.regions[e] = r
 	d.clearWords(e)
 	d.setBit(e, d.offsetOf(b))
@@ -508,7 +492,7 @@ func (d *DBI) DirtyBlocksInRegionInto(b addr.BlockAddr, dst []addr.BlockAddr) []
 // DirtyCount returns the total number of dirty blocks tracked.
 func (d *DBI) DirtyCount() int {
 	n := 0
-	for e := range d.stamps {
+	for e := range d.valid {
 		if d.validAt(e) {
 			n += d.dirtyCountOf(e)
 		}
@@ -535,7 +519,7 @@ func (d *DBI) RegisterMetrics(reg *telemetry.Registry) {
 // ValidEntries returns the number of valid entries.
 func (d *DBI) ValidEntries() int {
 	n := 0
-	for e := range d.stamps {
+	for e := range d.valid {
 		if d.validAt(e) {
 			n++
 		}

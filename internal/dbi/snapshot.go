@@ -6,15 +6,14 @@ import (
 )
 
 // State is a checkpoint of a DBI. It mirrors the live struct-of-arrays
-// layout one-to-one — the validity-stamp, region, replacement-metadata
+// layout one-to-one — the region, valid-flag, replacement-metadata
 // columns and the flat bit-word array — so a capture is five flat
 // copies, plus the LRW clock, the rng and the statistics (histogram
 // included). The zero value is ready; buffers are reused across
 // captures.
 type State struct {
-	gen       uint64
-	stamps    []uint64
 	regions   []RegionID
+	valid     []bool
 	lastWrite []uint64
 	rwpv      []uint8
 	words     []uint64
@@ -28,16 +27,15 @@ type State struct {
 
 // Snapshot captures the DBI into st.
 func (d *DBI) Snapshot(st *State) {
-	if len(st.stamps) != len(d.stamps) {
-		st.stamps = make([]uint64, len(d.stamps))
+	if len(st.regions) != len(d.regions) {
 		st.regions = make([]RegionID, len(d.regions))
+		st.valid = make([]bool, len(d.valid))
 		st.lastWrite = make([]uint64, len(d.lastWrite))
 		st.rwpv = make([]uint8, len(d.rwpv))
 		st.words = make([]uint64, len(d.words))
 	}
-	st.gen = d.gen
-	copy(st.stamps, d.stamps)
 	copy(st.regions, d.regions)
+	copy(st.valid, d.valid)
 	copy(st.lastWrite, d.lastWrite)
 	copy(st.rwpv, d.rwpv)
 	copy(st.words, d.words)
@@ -51,13 +49,12 @@ func (d *DBI) Snapshot(st *State) {
 
 // Restore writes st back into the DBI that produced it (identical
 // parameters; the system layer enforces the geometry match). Every
-// column is restored verbatim — stale (older-generation) slots
+// column is restored verbatim — the stale contents of invalid slots
 // included, which read paths never observe — so the index is bitwise
 // the captured one.
 func (d *DBI) Restore(st *State) {
-	d.gen = st.gen
-	copy(d.stamps, st.stamps)
 	copy(d.regions, st.regions)
+	copy(d.valid, st.valid)
 	copy(d.lastWrite, st.lastWrite)
 	copy(d.rwpv, st.rwpv)
 	copy(d.words, st.words)

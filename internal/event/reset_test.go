@@ -32,14 +32,17 @@ func script(e *Engine) []int {
 }
 
 // TestEngineResetReplaysIdentically fills an engine with events across
-// every internal structure, resets it mid-flight, and requires the
-// replayed script to fire in exactly the order a factory-fresh engine
-// produces — with zeroed clock, fired counter, and pending count.
+// every internal structure, rewinds it mid-flight to its power-on
+// snapshot, and requires the replayed script to fire in exactly the
+// order a factory-fresh engine produces — with zeroed clock, fired
+// counter, and pending count.
 func TestEngineResetReplaysIdentically(t *testing.T) {
 	var fresh Engine
 	want := script(&fresh)
 
 	var e Engine
+	var powerOn EngineState
+	e.Snapshot(&powerOn)
 	// Dirty the engine: park events everywhere, fire a few, then stop.
 	for i := 0; i < 10; i++ {
 		e.After(Cycle(1+i*i*i*i), func() {})
@@ -47,26 +50,29 @@ func TestEngineResetReplaysIdentically(t *testing.T) {
 	e.At(50_000_000, func() {})
 	e.RunUntil(100)
 
-	e.Reset()
+	e.Restore(&powerOn)
 	if e.Now() != 0 || e.Fired() != 0 || e.Pending() != 0 {
-		t.Fatalf("after Reset: now=%d fired=%d pending=%d, want all zero",
+		t.Fatalf("after rewind: now=%d fired=%d pending=%d, want all zero",
 			e.Now(), e.Fired(), e.Pending())
 	}
 	if got := script(&e); !reflect.DeepEqual(got, want) {
-		t.Errorf("replay after Reset fired %v, fresh engine fired %v", got, want)
+		t.Errorf("replay after rewind fired %v, fresh engine fired %v", got, want)
 	}
 }
 
 // TestEngineResetTwice guards the trivial but easy-to-break case:
-// resetting an already-reset (or never-used) engine is a no-op.
+// rewinding an already-rewound (or never-used) engine to its power-on
+// snapshot is a no-op.
 func TestEngineResetTwice(t *testing.T) {
 	var e Engine
-	e.Reset()
-	e.Reset()
+	var powerOn EngineState
+	e.Snapshot(&powerOn)
+	e.Restore(&powerOn)
+	e.Restore(&powerOn)
 	fired := false
 	e.After(1, func() { fired = true })
 	e.Run()
 	if !fired {
-		t.Error("event did not fire after double Reset")
+		t.Error("event did not fire after double rewind")
 	}
 }

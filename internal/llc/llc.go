@@ -49,7 +49,6 @@ type Stats struct {
 	WriteThroughs  stats.Counter // Skip Cache write-through traffic
 	MSHRMergeSkips stats.Counter // fills issued without MSHR merge (file full)
 	ScanDrops      stats.Counter // harvest scans dropped on a full scan queue
-	EagerWBs       stats.Counter // writebacks pumped during memory idle time
 }
 
 // scanJob is one row's worth of proactive-writeback work: the scanner
@@ -750,7 +749,7 @@ func (l *LLC) RegisterMetrics(reg *telemetry.Registry) {
 // Flush writes back every dirty block, using the DBI's row-grouped flush
 // when available (Section 7, "Cache Flushing"). It returns the number of
 // blocks written back. Flush is immediate (untimed); it exists for the
-// flush/DMA application examples, not the main performance loop.
+// flush application examples, not the main performance loop.
 func (l *LLC) Flush() int {
 	n := 0
 	if l.DBI != nil {
@@ -774,49 +773,11 @@ func (l *LLC) Flush() int {
 	return n
 }
 
-// Reset returns the LLC and everything it owns — tag store, port, DBI,
-// miss predictor, MSHR file, scan machinery — to power-on state, with
-// the same seed derivation New uses (the cache takes seed, the DBI
-// seed+1). The caller must reset the engine first so no port-completion
-// or scan-wake event from the previous run can fire. Pooled scratch
-// (tag requests, harvest buffers, MSHR waiter slices) is retained.
-func (l *LLC) Reset(seed int64) {
-	l.Cache.Reset(seed)
-	l.Port.Reset()
+// Reseed restarts the LLC's random streams with the seed derivation New
+// uses: the tag store's replacement policy takes seed, the DBI seed+1.
+func (l *LLC) Reseed(seed int64) {
+	l.Cache.Reseed(seed)
 	if l.DBI != nil {
-		l.DBI.Reset(seed + 1)
+		l.DBI.Reseed(seed + 1)
 	}
-	if l.Pred != nil {
-		l.Pred.Reset()
-	}
-	l.mshr.Reset()
-	for i := range l.scanQ {
-		l.putMates(l.scanQ[i].blocks)
-		l.scanQ[i] = scanJob{}
-	}
-	l.scanQ = l.scanQ[:0]
-	l.scanning = false
-	l.nextScanAt = 0
-	l.scanWake = false
-	l.curScanBlock = 0
-	l.curScanVisit = nil
-	// Reclaim records that were in flight when the engine dropped their
-	// completion events: rebuild both free lists from the registries.
-	l.tagFree = nil
-	for i := len(l.tagAll) - 1; i >= 0; i-- {
-		rr := l.tagAll[i]
-		rr.live = false
-		rr.done = nil
-		rr.next = l.tagFree
-		l.tagFree = rr
-	}
-	l.fillFree = nil
-	for i := len(l.fillAll) - 1; i >= 0; i-- {
-		r := l.fillAll[i]
-		r.live = false
-		r.done = nil
-		r.next = l.fillFree
-		l.fillFree = r
-	}
-	l.Stat = Stats{}
 }

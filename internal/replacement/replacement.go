@@ -26,12 +26,10 @@ type Policy interface {
 	OnMiss(set, thread int)
 	// Victim returns the way to evict from a full set.
 	Victim(set int) int
-	// Reset returns the policy to the state a fresh construction with the
-	// given seed would have, reusing its arrays. Recency stamps and RRPVs
-	// are restored to their exact power-on values (not merely offset):
-	// stale values would leak through tie-breaks and demotion minima and
-	// break the fresh-vs-reset bit-identity the sweep pool depends on.
-	Reset(seed int64)
+	// Reseed restarts the policy's random stream exactly as construction
+	// with seed would. Together with Restore from a power-on snapshot it
+	// yields the policy a fresh New with that seed would build.
+	Reseed(seed int64)
 	// Snapshot captures the policy's full state (recency/RRPV arrays,
 	// dueling selectors, rng) into st; Restore writes it back, so a
 	// restored policy makes exactly the decisions the captured one would
@@ -70,13 +68,6 @@ func (s *lruState) demote(set, way int) {
 	s.stamps[set*s.ways+way] = min - 1
 }
 
-func (s *lruState) reset() {
-	for i := range s.stamps {
-		s.stamps[i] = 0
-	}
-	s.clock = 0
-}
-
 func (s *lruState) victim(set int) int {
 	best, bestStamp := 0, s.stamps[set*s.ways]
 	for w := 1; w < s.ways; w++ {
@@ -108,8 +99,8 @@ func (l *LRU) OnMiss(set, thread int) {}
 // Victim implements Policy.
 func (l *LRU) Victim(set int) int { return l.s.victim(set) }
 
-// Reset implements Policy (seed unused: LRU has no random component).
-func (l *LRU) Reset(seed int64) { l.s.reset() }
+// Reseed implements Policy (LRU has no random component).
+func (l *LRU) Reseed(seed int64) {}
 
 // TADIP is the thread-aware dynamic insertion policy [Jaleel+, PACT'08;
 // Qureshi+, ISCA'07]: each thread duels LRU insertion against bimodal
@@ -236,15 +227,8 @@ func (d *TADIP) Insert(set, way, thread int) {
 // Victim implements Policy.
 func (d *TADIP) Victim(set int) int { return d.s.victim(set) }
 
-// Reset implements Policy: recency cleared, selectors back to neutral,
-// rng reseeded to the same stream construction with seed yields.
-func (d *TADIP) Reset(seed int64) {
-	d.s.reset()
-	for i := range d.psel {
-		d.psel[i] = d.pselMax / 2
-	}
-	d.rng.Seed(seed)
-}
+// Reseed implements Policy.
+func (d *TADIP) Reseed(seed int64) { d.rng.Seed(seed) }
 
 // PSEL exposes the selector value for a thread (for tests/diagnostics).
 func (d *TADIP) PSEL(thread int) int { return d.psel[thread%len(d.psel)] }
@@ -263,12 +247,6 @@ func newRRIPState(sets, ways int, bits int) *rripState {
 		r.rrpv[i] = max
 	}
 	return r
-}
-
-func (r *rripState) reset() {
-	for i := range r.rrpv {
-		r.rrpv[i] = r.max
-	}
 }
 
 func (r *rripState) victim(set int) int {
@@ -387,14 +365,8 @@ func (d *DRRIP) Insert(set, way, thread int) {
 // Victim implements Policy.
 func (d *DRRIP) Victim(set int) int { return d.r.victim(set) }
 
-// Reset implements Policy.
-func (d *DRRIP) Reset(seed int64) {
-	d.r.reset()
-	for i := range d.psel {
-		d.psel[i] = d.pselMax / 2
-	}
-	d.rng.Seed(seed)
-}
+// Reseed implements Policy.
+func (d *DRRIP) Reseed(seed int64) { d.rng.Seed(seed) }
 
 // Config bundles what caches need to construct a policy by kind.
 type Config struct {

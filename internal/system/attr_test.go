@@ -85,22 +85,29 @@ func TestAttributionReconciles(t *testing.T) {
 	}
 }
 
-// TestAttributionSurvivesReset: Reset returns the ledger to power-on
-// zero, so a reset machine's report must equal a fresh machine's bit
-// for bit — the reuse path cannot leak the previous cell's charges.
+// TestAttributionSurvivesReset: the power-on rewind returns the ledger
+// to zero, so a rewound machine's report must equal a fresh machine's
+// bit for bit — the reuse path cannot leak the previous cell's charges.
 func TestAttributionSurvivesReset(t *testing.T) {
+	if !Forkable() {
+		t.Skip("rand.Source mirror unavailable on this runtime")
+	}
 	cfg := smallCfg(1, config.DBIAWB)
 	sys, err := New(cfg, []string{"stream"}, 3, WithAttribution())
 	if err != nil {
 		t.Fatal(err)
 	}
+	var powerOn Checkpoint
+	if err := sys.Snapshot(&powerOn); err != nil {
+		t.Fatal(err)
+	}
 	first := sys.Run()
-	if err := sys.Reset(cfg, []string{"stream"}, 3); err != nil {
+	if err := sys.rewind(cfg, []string{"stream"}, 3, &powerOn); err != nil {
 		t.Fatal(err)
 	}
 	second := sys.Run()
 	if !reflect.DeepEqual(first, second) {
-		t.Errorf("reset run diverges from first\nfirst:  %+v\nsecond: %+v", first, second)
+		t.Errorf("rewound run diverges from first\nfirst:  %+v\nsecond: %+v", first, second)
 	}
 }
 
@@ -113,8 +120,6 @@ func TestAttributionForkMatchesScratch(t *testing.T) {
 	if !Forkable() {
 		t.Skip("rand.Source mirror unavailable on this runtime")
 	}
-	t.Setenv(NoPoolEnv, "")
-	t.Setenv(NoForkEnv, "")
 	SetAttributionEnabled(true)
 	defer SetAttributionEnabled(false)
 	var pool ForkPool

@@ -1,17 +1,10 @@
 package system
 
 import (
-	"os"
 	"sync"
 
 	"dbisim/internal/config"
 )
-
-// NoForkEnv, when set to any non-empty value, disables checkpoint
-// forking: ForkPool degrades to the plain reset Pool (which itself
-// honors DBISIM_NO_POOL). It is the escape hatch for bisecting a
-// suspected checkpoint bug and the lever CI uses to smoke both paths.
-const NoForkEnv = "DBISIM_NO_FORK"
 
 const (
 	// forkMachineCap bounds how many distinct-geometry machines one
@@ -36,12 +29,15 @@ type forkCkpt struct {
 	stamp uint64
 }
 
-// forkMachine is one pooled System plus the checkpoints taken on it.
+// forkMachine is one pooled System plus the checkpoints taken on it:
+// its power-on state, captured right after New, and one warmup
+// checkpoint per warmup identity.
 type forkMachine struct {
-	sys   *System
-	sig   config.SystemConfig
-	ckpts []*forkCkpt
-	stamp uint64
+	sys     *System
+	sig     config.SystemConfig
+	powerOn Checkpoint
+	ckpts   []*forkCkpt
+	stamp   uint64
 }
 
 func (m *forkMachine) ckpt(key string) *forkCkpt {
@@ -88,14 +84,21 @@ func (m *forkMachine) take(key string, clock uint64) *forkCkpt {
 	return c
 }
 
-// ForkPool runs sweep cells with checkpoint forking: the first cell of
-// a warmup group warms a machine, snapshots it at the warmup→measure
-// boundary, and measures; every later cell with the same warmup
-// identity restores the snapshot and measures only — turning
+// ForkPool runs sweep cells on pooled machines with checkpoint forking:
+// the first cell of a warmup group warms a machine, snapshots it at the
+// warmup→measure boundary, and measures; every later cell with the same
+// warmup identity restores the snapshot and measures only — turning
 // O(N·(warmup+measure)) sweeps into O(warmup + N·measure). Results are
-// bit-identical to New(cfg, benches, seed).Run() regardless of history;
-// whenever a checkpoint cannot be taken, restored, or measured from,
-// the pool falls back to the plain reset path.
+// bit-identical to New(cfg, benches, seed).Run() regardless of history.
+//
+// Restore is the pool's only rewind. A machine is built once per
+// geometry Signature and checkpointed at power-on; a cell that misses
+// every warmup checkpoint restores that power-on checkpoint and
+// re-derives its own inputs (rewind). Cells with nothing to fork — a
+// zero warmup or measure budget, a measurement overrun in the warmup
+// overhang — rewind the same way and run whole. Only on a runtime
+// without checkpoint support (!Forkable) does every cell build a
+// fresh machine.
 //
 // A ForkPool is NOT safe for concurrent use: each sweep worker owns its
 // own. The zero value is ready. Call Release when the worker is done to
@@ -111,15 +114,27 @@ func (m *forkMachine) take(key string, clock uint64) *forkCkpt {
 type ForkPool struct {
 	machines []*forkMachine
 	clock    uint64
-	plain    Pool
 	adopted  bool
+
+	// worker is the owning sweep worker's index, carried into the
+	// ops-plane pool events; workerSet distinguishes worker 0 from
+	// unassigned.
+	worker    int
+	workerSet bool
 }
 
-// SetWorker labels the pool (and its plain fallback) with the owning
-// sweep worker's index for ops-plane event attribution.
-func (p *ForkPool) SetWorker(w int) { p.plain.SetWorker(w) }
+// SetWorker labels the pool with its owning sweep worker's index, so
+// ops-plane events attribute decisions to worker lanes. The sweep
+// scheduler calls it once per worker state; it has no effect on
+// simulation.
+func (p *ForkPool) SetWorker(w int) { p.worker, p.workerSet = w, true }
 
-func (p *ForkPool) workerID() int { return p.plain.workerID() }
+func (p *ForkPool) workerID() int {
+	if !p.workerSet {
+		return -1
+	}
+	return p.worker
+}
 
 // sharedPools carries released machine sets across ForkPool lifetimes.
 var (
@@ -178,9 +193,9 @@ func (p *ForkPool) machine(sig config.SystemConfig) *forkMachine {
 }
 
 // insert adds a machine, evicting the least-recently-used at capacity.
-func (p *ForkPool) insert(sys *System, sig config.SystemConfig) *forkMachine {
+func (p *ForkPool) insert(m *forkMachine) {
 	p.clock++
-	m := &forkMachine{sys: sys, sig: sig, stamp: p.clock}
+	m.stamp = p.clock
 	if len(p.machines) >= forkMachineCap {
 		lru := 0
 		for i, mm := range p.machines {
@@ -193,28 +208,64 @@ func (p *ForkPool) insert(sys *System, sig config.SystemConfig) *forkMachine {
 		poolEvent(p.workerID(), "evict:machine", "")
 	}
 	p.machines = append(p.machines, m)
-	return m
+}
+
+// rewound readies a machine at power-on for the cell: m rewound to its
+// power-on checkpoint or, when the pool holds no machine of this
+// geometry (m == nil), a freshly built one whose power-on checkpoint is
+// taken before its first cycle.
+func (p *ForkPool) rewound(m *forkMachine, cfg config.SystemConfig, benches []string, seed int64) (*forkMachine, error) {
+	if m != nil {
+		if err := m.sys.rewind(cfg, benches, seed, &m.powerOn); err != nil {
+			return nil, err
+		}
+		PoolStat.Resets.Add(1)
+		poolEvent(p.workerID(), "reset", "")
+		return m, nil
+	}
+	sys, err := New(cfg, benches, seed)
+	if err != nil {
+		return nil, err
+	}
+	m = &forkMachine{sys: sys, sig: Signature(cfg)}
+	if err := sys.Snapshot(&m.powerOn); err != nil {
+		return nil, err
+	}
+	p.insert(m)
+	PoolStat.Rebuilds.Add(1)
+	poolEvent(p.workerID(), "rebuild", "")
+	return m, nil
 }
 
 // Run executes one cell, forking from a warmup checkpoint when one is
 // available and taking one when it is not.
 func (p *ForkPool) Run(cfg config.SystemConfig, benches []string, seed int64) (Results, error) {
-	if os.Getenv(NoForkEnv) != "" || !Forkable() ||
-		cfg.WarmupInstructions == 0 || cfg.MeasureInstructions == 0 {
+	if !Forkable() {
 		PoolStat.RefusedDisabled.Add(1)
-		return p.plain.Run(cfg, benches, seed)
-	}
-	if os.Getenv(NoPoolEnv) != "" {
-		PoolStat.RefusedDisabled.Add(1)
-		return p.plain.Run(cfg, benches, seed)
+		sys, err := New(cfg, benches, seed)
+		if err != nil {
+			return Results{}, err
+		}
+		PoolStat.Rebuilds.Add(1)
+		poolEvent(p.workerID(), "rebuild", "checkpoints unsupported on this runtime")
+		return sys.Run(), nil
 	}
 	p.adopt()
-
 	sig := Signature(cfg)
-	key := WarmupKey(cfg, benches, seed)
 	m := p.machine(sig)
 
+	if cfg.WarmupInstructions == 0 || cfg.MeasureInstructions == 0 {
+		// No warmup→measure boundary to fork at: run the cell whole.
+		PoolStat.RefusedDisabled.Add(1)
+		m, err := p.rewound(m, cfg, benches, seed)
+		if err != nil {
+			return Results{}, err
+		}
+		return m.sys.Run(), nil
+	}
+
 	// Fast path: restore the group's checkpoint and measure.
+	key := WarmupKey(cfg, benches, seed)
 	if m != nil {
 		if c := m.ckpt(key); c != nil {
 			p.clock++
@@ -227,7 +278,7 @@ func (p *ForkPool) Run(cfg config.SystemConfig, benches []string, seed int64) (R
 				}
 			}
 			// Unusable checkpoint (or unforkable budget): drop it and
-			// warm from scratch below.
+			// warm from power-on below.
 			m.drop(key)
 			PoolStat.RefusedRestore.Add(1)
 			poolEvent(p.workerID(), "refuse:restore", "checkpoint dropped")
@@ -235,22 +286,11 @@ func (p *ForkPool) Run(cfg config.SystemConfig, benches []string, seed int64) (R
 	}
 	PoolStat.CkptMisses.Add(1)
 
-	// Slow path: get a machine at this cell's run state, warm it,
+	// Slow path: get a machine at this cell's power-on state, warm it,
 	// checkpoint the boundary, then measure.
-	if m == nil {
-		sys, err := New(cfg, benches, seed)
-		if err != nil {
-			return Results{}, err
-		}
-		m = p.insert(sys, sig)
-		PoolStat.Rebuilds.Add(1)
-		poolEvent(p.workerID(), "rebuild", "new fork machine")
-	} else {
-		if err := m.sys.Reset(cfg, benches, seed); err != nil {
-			return Results{}, err
-		}
-		PoolStat.Resets.Add(1)
-		poolEvent(p.workerID(), "reset", "warming for checkpoint")
+	m, err := p.rewound(m, cfg, benches, seed)
+	if err != nil {
+		return Results{}, err
 	}
 	if err := m.sys.RunWarmup(); err != nil {
 		// Phase-split refused (zero warmup is excluded above, so this
@@ -273,14 +313,13 @@ func (p *ForkPool) Run(cfg config.SystemConfig, benches []string, seed int64) (R
 	res, err := m.sys.RunMeasure()
 	if err != nil {
 		// A core overran its measurement budget during the warmup
-		// overhang; only a scratch run reproduces that cell.
+		// overhang; only a whole run reproduces that cell.
 		PoolStat.RefusedOverhang.Add(1)
 		poolEvent(p.workerID(), "refuse:overhang", err.Error())
-		if rerr := m.sys.Reset(cfg, benches, seed); rerr != nil {
-			return Results{}, rerr
+		if _, err := p.rewound(m, cfg, benches, seed); err != nil {
+			return Results{}, err
 		}
-		PoolStat.Resets.Add(1)
 		return m.sys.Run(), nil
 	}
-	return res, err
+	return res, nil
 }

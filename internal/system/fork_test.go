@@ -18,8 +18,6 @@ func TestForkedGoldenReplay(t *testing.T) {
 	if !Forkable() {
 		t.Skip("rand.Source mirror unavailable on this runtime")
 	}
-	t.Setenv(NoPoolEnv, "")
-	t.Setenv(NoForkEnv, "")
 	cells := loadGoldenCells(t)
 	var pool ForkPool
 	for pass := 0; pass < 2; pass++ {
@@ -47,8 +45,6 @@ func TestForkMatchesScratchDifferential(t *testing.T) {
 	if !Forkable() {
 		t.Skip("rand.Source mirror unavailable on this runtime")
 	}
-	t.Setenv(NoPoolEnv, "")
-	t.Setenv(NoForkEnv, "")
 	var pool ForkPool
 	mechs := []config.Mechanism{
 		config.Baseline, config.TADIP, config.DAWB, config.VWQ,
@@ -75,40 +71,6 @@ func TestForkMatchesScratchDifferential(t *testing.T) {
 	}
 }
 
-// TestNoForkEnvDisablesForking verifies the DBISIM_NO_FORK escape
-// hatch: with it set the pool keeps no fork machines, still returns
-// correct results, and matches the forked path bit for bit.
-func TestNoForkEnvDisablesForking(t *testing.T) {
-	cfg := config.Scaled(1, config.DBIAWBCLB)
-	cfg.WarmupInstructions, cfg.MeasureInstructions = 3000, 5000
-	benches := []string{"milc"}
-
-	t.Setenv(NoForkEnv, "1")
-	var plain ForkPool
-	first, err := plain.Run(cfg, benches, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain.machines) != 0 {
-		t.Error("ForkPool retained fork machines with DBISIM_NO_FORK set")
-	}
-
-	t.Setenv(NoForkEnv, "")
-	if !Forkable() {
-		return
-	}
-	var forking ForkPool
-	for i := 0; i < 2; i++ {
-		got, err := forking.Run(cfg, benches, 21)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(first, got) {
-			t.Errorf("run %d: NO_FORK vs forked results diverge", i)
-		}
-	}
-}
-
 // TestForkedParallelSweep runs a warmup-grouped grid through
 // sweep.RunState on one and four workers with ForkPool states and
 // requires bit-identical outcome sets; under -race it also proves the
@@ -117,8 +79,6 @@ func TestForkedParallelSweep(t *testing.T) {
 	if !Forkable() {
 		t.Skip("rand.Source mirror unavailable on this runtime")
 	}
-	t.Setenv(NoPoolEnv, "")
-	t.Setenv(NoForkEnv, "")
 	mechs := []config.Mechanism{config.Baseline, config.DBIAWBCLB}
 	var cells []sweep.StateCell[Results, ForkPool]
 	for _, m := range mechs {

@@ -57,8 +57,8 @@ func WithMetrics(reg *telemetry.Registry) Option {
 
 // WithAttribution attaches a cycle/bandwidth attribution ledger to
 // every component. Unlike tracers and samplers, attribution is plain
-// counter state that Reset/Snapshot/Restore carry exactly, so an
-// attributed System still pools, forks and resets; Results gain an
+// counter state that Snapshot/Restore carry exactly, so an attributed
+// System still pools, forks and rewinds; Results gain an
 // Attr report split at the warmup→measure boundary. Attribution never
 // schedules events or influences decisions, so Results stay
 // bit-identical with and without it.

@@ -8,28 +8,26 @@ import (
 
 // PoolCounters aggregates the pool/fork schedulers' decisions
 // process-wide. Pools are per-worker and short-lived, so the usable
-// ops-plane signal is the sum over all of them: every Pool and ForkPool
+// ops-plane signal is the sum over all of them: every ForkPool
 // increments these shared atomics as it runs cells. Increments are one
 // atomic add per cell-level decision — never on a simulated hot path —
 // so they are always on: zero allocation, no measurable cost, and no
 // effect on simulated Results.
 //
 // The counters make the previously invisible policy machinery
-// observable: whether cells are being forked from checkpoints, reset in
-// place, or rebuilt from scratch; whether the machine/checkpoint LRUs
+// observable: whether cells are being forked from checkpoints, rewound
+// to power-on, or rebuilt from scratch; whether the machine/checkpoint LRUs
 // are thrashing (the +64% bytes/cell casestudy regression of PR 6 was
 // exactly an eviction storm these would have shown live); and why the
 // fork scheduler refuses cells when it does.
 type PoolCounters struct {
-	// Resets counts cells run by resetting a pooled machine in place
-	// (the plain Pool fast path, and the ForkPool's warm-from-reset).
+	// Resets counts power-on rewinds: a pooled machine restored from
+	// its power-on checkpoint and rebound to the next cell's inputs.
 	Resets atomic.Uint64
 	// Rebuilds counts cells that constructed a fresh System — first use
-	// of a worker's pool, geometry mismatch, or reset refusal.
+	// of a geometry in a worker's pool, or every cell on a runtime
+	// without checkpoint support.
 	Rebuilds atomic.Uint64
-	// ResetRefusals counts reset attempts that failed and fell back to
-	// a rebuild.
-	ResetRefusals atomic.Uint64
 
 	// CkptHits counts cells measured from a restored warmup checkpoint
 	// (the fork fast path: no warmup simulated at all).
@@ -55,8 +53,8 @@ type PoolCounters struct {
 	// Refusal reasons, by kind. Each counts cells the fork scheduler
 	// could not serve from a checkpoint and why:
 	//
-	//   - Disabled: forking was off for the cell (DBISIM_NO_FORK, an
-	//     unforkable runtime, or a zero warmup/measure budget).
+	//   - Disabled: forking was off for the cell (an unforkable runtime,
+	//     or a zero warmup/measure budget).
 	//   - Restore: a retained checkpoint failed to restore or measure
 	//     and was dropped.
 	//   - Snapshot: the warmup boundary could not be captured.
@@ -79,7 +77,6 @@ var PoolStat PoolCounters
 type PoolSnapshot struct {
 	Resets           uint64 `json:"resets"`
 	Rebuilds         uint64 `json:"rebuilds"`
-	ResetRefusals    uint64 `json:"reset_refusals"`
 	CkptHits         uint64 `json:"ckpt_hits"`
 	CkptMisses       uint64 `json:"ckpt_misses"`
 	CkptTaken        uint64 `json:"ckpts_taken"`
@@ -100,7 +97,6 @@ func (c *PoolCounters) Snapshot() PoolSnapshot {
 	return PoolSnapshot{
 		Resets:           c.Resets.Load(),
 		Rebuilds:         c.Rebuilds.Load(),
-		ResetRefusals:    c.ResetRefusals.Load(),
 		CkptHits:         c.CkptHits.Load(),
 		CkptMisses:       c.CkptMisses.Load(),
 		CkptTaken:        c.CkptTaken.Load(),
@@ -121,7 +117,6 @@ func (s PoolSnapshot) Sub(prev PoolSnapshot) PoolSnapshot {
 	return PoolSnapshot{
 		Resets:           s.Resets - prev.Resets,
 		Rebuilds:         s.Rebuilds - prev.Rebuilds,
-		ResetRefusals:    s.ResetRefusals - prev.ResetRefusals,
 		CkptHits:         s.CkptHits - prev.CkptHits,
 		CkptMisses:       s.CkptMisses - prev.CkptMisses,
 		CkptTaken:        s.CkptTaken - prev.CkptTaken,
@@ -153,7 +148,6 @@ func RegisterPoolMetrics(reg *telemetry.Registry) {
 	c := &PoolStat
 	reg.Counter("pool.resets", c.Resets.Load)
 	reg.Counter("pool.rebuilds", c.Rebuilds.Load)
-	reg.Counter("pool.reset_refusals", c.ResetRefusals.Load)
 	reg.Counter("fork.ckpt_hits", c.CkptHits.Load)
 	reg.Counter("fork.ckpt_misses", c.CkptMisses.Load)
 	reg.Counter("fork.ckpts_taken", c.CkptTaken.Load)

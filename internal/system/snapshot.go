@@ -27,12 +27,16 @@ type Checkpoint struct {
 	cfg     config.SystemConfig
 	benches []string
 
-	eng   event.EngineState
-	cores []cpu.State
-	gens  []trace.GenState
-	llc   llc.State
-	mem   dram.State
-	snap  snapshot
+	eng    event.EngineState
+	cores  []cpu.State
+	traces []trace.GenState
+	llc    llc.State
+	mem    dram.State
+	snap   snapshot
+
+	// powerOn marks a checkpoint taken before the machine's first
+	// event, the only kind rewind accepts.
+	powerOn bool
 
 	// attr is the ledger's value at capture time. The warmup baseline
 	// (snap.attr) rides along in the snapshot struct copy; this field
@@ -41,10 +45,6 @@ type Checkpoint struct {
 	// ledger the scratch run had.
 	attr telemetry.AttrValues
 }
-
-// Owner returns the System the checkpoint was taken from (nil for a
-// zero checkpoint).
-func (ck *Checkpoint) Owner() *System { return ck.owner }
 
 // WarmupSignature returns the part of a config that determines the
 // machine state at the warmup→measure boundary: everything except the
@@ -83,8 +83,8 @@ func Forkable() bool { return randstate.Supported() }
 // an attached epoch sampler arms here and keeps ticking through
 // RunMeasure, so a split run's time series equals a monolithic Run's
 // (TestTelemetrySplitPhaseMatchesMonolithic). Such a machine still
-// cannot be snapshotted, restored, or reset — those refusals stand —
-// so the fork scheduler only ever forks telemetry-free machines.
+// cannot be snapshotted or restored — those refusals stand — so the
+// fork scheduler only ever forks telemetry-free machines.
 func (s *System) RunWarmup() error {
 	if s.Cfg.WarmupInstructions == 0 {
 		return fmt.Errorf("system: RunWarmup requires a warmup budget")
@@ -147,11 +147,10 @@ func (s *System) RunMeasure() (Results, error) {
 
 // Snapshot deep-copies the machine into ck. It is legal at any
 // quiescent point (the engine must not be mid-Run); the fork scheduler
-// always takes it at the warmup→measure boundary. Systems with
+// takes it at power-on and at the warmup→measure boundary. Systems with
 // telemetry attached refuse — tracers and samplers accumulate host-side
 // state a restore cannot unwind — as do builds where the RNG mirror is
-// unavailable or a generator cannot checkpoint itself. On error ck is
-// unchanged except for its owner binding.
+// unavailable. On error ck is unchanged.
 func (s *System) Snapshot(ck *Checkpoint) error {
 	if s.tracer != nil || s.sampler != nil {
 		return fmt.Errorf("system: cannot snapshot with telemetry attached")
@@ -159,25 +158,18 @@ func (s *System) Snapshot(ck *Checkpoint) error {
 	if !randstate.Supported() {
 		return fmt.Errorf("system: rand.Source mirror unavailable on this runtime")
 	}
-	snaps := make([]trace.Snapshotter, len(s.gens))
-	for i, g := range s.gens {
-		sn, ok := g.(trace.Snapshotter)
-		if !ok {
-			return fmt.Errorf("system: core %d generator is not snapshottable", i)
-		}
-		snaps[i] = sn
-	}
 	ck.owner = s
 	ck.cfg = s.Cfg
 	ck.benches = append(ck.benches[:0], s.benchNames...)
+	ck.powerOn = s.Eng.Fired() == 0
 	s.Eng.Snapshot(&ck.eng)
 	if len(ck.cores) != len(s.Cores) {
 		ck.cores = make([]cpu.State, len(s.Cores))
-		ck.gens = make([]trace.GenState, len(s.Cores))
+		ck.traces = make([]trace.GenState, len(s.Cores))
 	}
 	for i, c := range s.Cores {
 		c.Snapshot(&ck.cores[i])
-		snaps[i].Snapshot(&ck.gens[i])
+		s.traces[i].Snapshot(&ck.traces[i])
 	}
 	s.LLC.Snapshot(&ck.llc)
 	s.Mem.Snapshot(&ck.mem)
@@ -192,41 +184,93 @@ func (s *System) Snapshot(ck *Checkpoint) error {
 // the run to cfg — which may differ from the captured config only in
 // its measurement budget (the warmup signatures must match, or the
 // checkpoint would describe a different warmed machine). All
-// validation happens before any mutation, the same contract as Reset:
-// on error the system is untouched.
+// validation happens before any mutation: on error the system is
+// untouched.
 func (s *System) Restore(cfg config.SystemConfig, ck *Checkpoint) error {
+	if err := s.restorable(cfg, ck); err != nil {
+		return err
+	}
+	if WarmupSignature(cfg) != WarmupSignature(ck.cfg) {
+		return fmt.Errorf("system: restore requires matching warmup signatures")
+	}
+	s.load(ck)
+	for i, g := range s.traces {
+		g.Restore(&ck.traces[i])
+	}
+	s.Cfg = cfg
+	s.benchNames = append(s.benchNames[:0], ck.benches...)
+	return nil
+}
+
+// rewind returns the machine to the power-on checkpoint ck and
+// re-derives what New derives from benches and seed: each core's trace
+// generator is rebound to its profile, base and seed, and every
+// replacement and DBI rng is reseeded. The machine is then
+// bit-identical to New(cfg, benches, seed). cfg may differ from the
+// construction config only in its budgets (the Signatures must match).
+// Like Restore it validates before mutating, and it allocates nothing
+// once the machine has run a cell of the same footprint.
+func (s *System) rewind(cfg config.SystemConfig, benches []string, seed int64, ck *Checkpoint) error {
+	if err := s.restorable(cfg, ck); err != nil {
+		return err
+	}
+	if !ck.powerOn {
+		return fmt.Errorf("system: rewind requires a power-on checkpoint")
+	}
+	if Signature(cfg) != Signature(ck.cfg) {
+		return fmt.Errorf("system: rewind requires matching geometry signatures")
+	}
+	if len(benches) != cfg.NumCores {
+		return fmt.Errorf("system: %d benchmarks for %d cores", len(benches), cfg.NumCores)
+	}
+	for _, b := range benches {
+		if _, err := trace.ByName(b); err != nil {
+			return err
+		}
+	}
+	s.load(ck)
+	for i, c := range s.Cores {
+		p, _ := trace.ByName(benches[i])
+		s.traces[i].Reset(p, coreBase(i), traceSeed(seed, i))
+		c.Reseed(coreSeed(seed, i))
+	}
+	s.LLC.Reseed(seed)
+	s.Cfg = cfg
+	s.benchNames = append(s.benchNames[:0], benches...)
+	// A machine built before the process-wide toggle flipped on gains
+	// its ledger here, so pooled machines honor the toggle from their
+	// next cell.
+	if s.attr == nil && AttributionEnabled() {
+		s.attachAttr(&telemetry.Attribution{})
+	}
+	return nil
+}
+
+// restorable checks what Restore and rewind both require before either
+// mutates anything.
+func (s *System) restorable(cfg config.SystemConfig, ck *Checkpoint) error {
 	if ck.owner != s {
 		return fmt.Errorf("system: checkpoint belongs to a different machine")
 	}
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if WarmupSignature(cfg) != WarmupSignature(ck.cfg) {
-		return fmt.Errorf("system: restore requires matching warmup signatures")
-	}
 	if s.tracer != nil || s.sampler != nil {
 		return fmt.Errorf("system: cannot restore with telemetry attached")
 	}
-	snaps := make([]trace.Snapshotter, len(s.gens))
-	for i, g := range s.gens {
-		sn, ok := g.(trace.Snapshotter)
-		if !ok {
-			return fmt.Errorf("system: core %d generator is not snapshottable", i)
-		}
-		snaps[i] = sn
-	}
-	s.Cfg = cfg
+	return nil
+}
+
+// load writes every component except the trace generators back from ck.
+func (s *System) load(ck *Checkpoint) {
 	s.Eng.Restore(&ck.eng)
 	for i, c := range s.Cores {
 		c.Restore(&ck.cores[i])
-		snaps[i].Restore(&ck.gens[i])
 	}
 	s.LLC.Restore(&ck.llc)
 	s.Mem.Restore(&ck.mem)
-	s.benchNames = append(s.benchNames[:0], ck.benches...)
 	issued := s.snap.coreIssued
 	s.snap = ck.snap
 	s.snap.coreIssued = append(issued[:0], ck.snap.coreIssued...)
 	s.attr.SetValues(ck.attr)
-	return nil
 }

@@ -32,13 +32,13 @@ type System struct {
 	Cores []*cpu.Core
 
 	benchNames []string
-	gens       []trace.Generator // per-core generators, kept for Reset
+	traces     []trace.Snapshotter // per-core generators, kept for Snapshot/Restore/rewind
 	snap       snapshot
 
 	// attr is the machine's attribution ledger (nil when attribution
 	// is off). Unlike tracer/sampler it is plain simulated-counter
-	// state: Reset zeroes it, Snapshot/Restore carry it, and none of
-	// those operations refuse because of it.
+	// state: Snapshot/Restore carry it and neither refuses because of
+	// it.
 	attr *telemetry.Attribution
 
 	tracer  *telemetry.Tracer
@@ -108,9 +108,9 @@ var attrEnabled atomic.Bool
 
 // SetAttributionEnabled sets the process-wide attribution default:
 // when on, every System built by New (and every pooled machine on its
-// next Reset) carries an attribution ledger. Flip it before starting
-// sweeps; machines already warmed keep their current attachment until
-// they reset.
+// next power-on rewind) carries an attribution ledger. Flip it before
+// starting sweeps; machines already warmed keep their current
+// attachment until they rewind.
 func SetAttributionEnabled(on bool) { attrEnabled.Store(on) }
 
 // AttributionEnabled reports the process-wide attribution default.
@@ -149,12 +149,12 @@ func New(cfg config.SystemConfig, benches []string, seed int64, opts ...Option) 
 		if err != nil {
 			return nil, err
 		}
-		gen := trace.New(p, addr.Addr(uint64(i+1)<<36), seed+int64(i)*131)
-		core, err := cpu.New(&s.Eng, i, cfg, gen, l3, seed+int64(i)*977)
+		gen := trace.New(p, coreBase(i), traceSeed(seed, i)).(trace.Snapshotter)
+		core, err := cpu.New(&s.Eng, i, cfg, gen, l3, coreSeed(seed, i))
 		if err != nil {
 			return nil, err
 		}
-		s.gens = append(s.gens, gen)
+		s.traces = append(s.traces, gen)
 		s.Cores = append(s.Cores, core)
 	}
 	var o options
@@ -167,77 +167,22 @@ func New(cfg config.SystemConfig, benches []string, seed int64, opts ...Option) 
 	return s, nil
 }
 
+// Per-core inputs New derives from the core index and the run seed;
+// rewind re-derives them identically. Each core's footprint is offset
+// so address streams never overlap.
+func coreBase(i int) addr.Addr          { return addr.Addr(uint64(i+1) << 36) }
+func traceSeed(seed int64, i int) int64 { return seed + int64(i)*131 }
+func coreSeed(seed int64, i int) int64  { return seed + int64(i)*977 }
+
 // Signature returns the geometry signature of a config: everything that
 // determines allocated structure shape — cache organizations, DBI and
 // predictor parameters, DRAM timing, core count, mechanism — i.e. the
 // config with only the run-length budgets zeroed. Two configs with equal
-// signatures can share one System through Reset.
+// signatures can share one pooled machine.
 func Signature(cfg config.SystemConfig) config.SystemConfig {
 	cfg.WarmupInstructions = 0
 	cfg.MeasureInstructions = 0
 	return cfg
-}
-
-// Reset returns the whole machine to power-on state for a new run
-// without reallocating any of its structures, exactly as if it had been
-// freshly built by New(cfg, benches, seed): same seed derivations, same
-// event numbering (the DRAM refresh is re-armed first, as in
-// construction), so a reset-then-Run is bit-identical to a fresh
-// System's Run. cfg may differ from the construction config only in its
-// warmup/measure budgets (Signature must match); benches may change
-// freely. Systems with telemetry options attached refuse to reset —
-// tracers and samplers accumulate host-side state a reset cannot
-// unwind — as do systems whose cores were built with a non-resettable
-// trace generator. On error the system is untouched.
-func (s *System) Reset(cfg config.SystemConfig, benches []string, seed int64) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if len(benches) != cfg.NumCores {
-		return fmt.Errorf("system: %d benchmarks for %d cores", len(benches), cfg.NumCores)
-	}
-	if Signature(cfg) != Signature(s.Cfg) {
-		return fmt.Errorf("system: reset requires matching geometry signatures")
-	}
-	if s.tracer != nil || s.sampler != nil {
-		return fmt.Errorf("system: cannot reset with telemetry attached")
-	}
-	profiles := make([]trace.Profile, len(benches))
-	for i, b := range benches {
-		p, err := trace.ByName(b)
-		if err != nil {
-			return err
-		}
-		profiles[i] = p
-	}
-	resetters := make([]trace.Resetter, len(s.gens))
-	for i, g := range s.gens {
-		r, ok := g.(trace.Resetter)
-		if !ok {
-			return fmt.Errorf("system: core %d generator is not resettable", i)
-		}
-		resetters[i] = r
-	}
-	s.Cfg = cfg
-	s.Eng.Reset()
-	s.Mem.Reset()
-	s.LLC.Reset(seed)
-	for i, c := range s.Cores {
-		resetters[i].Reset(profiles[i], addr.Addr(uint64(i+1)<<36), seed+int64(i)*131)
-		c.Reset(seed + int64(i)*977)
-	}
-	s.benchNames = append(s.benchNames[:0], benches...)
-	s.snap = snapshot{}
-	// Attribution is counter state, not host-side telemetry: reset
-	// returns it to power-on zero rather than refusing. A machine
-	// built before the process-wide toggle flipped on gains its ledger
-	// here, so pooled machines honor the toggle from their next run.
-	if s.attr != nil {
-		s.attr.Reset()
-	} else if AttributionEnabled() {
-		s.attachAttr(&telemetry.Attribution{})
-	}
-	return nil
 }
 
 // attachAttr wires one attribution ledger into every component that

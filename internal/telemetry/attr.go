@@ -80,12 +80,8 @@ const (
 	ABytesWBAWBHarvest
 	// ABytesDBIDrain: bytes drained by DBI entry evictions.
 	ABytesDBIDrain
-	// ABytesWBEager: bytes from the eager-writeback ablation scans.
-	ABytesWBEager
 	// ABytesWBFlush: bytes written back by whole-cache flushes.
 	ABytesWBFlush
-	// ABytesWBDMA: bytes written back by DMA coherence requests.
-	ABytesWBDMA
 
 	// NumCategories sizes the ledger; not a real category.
 	NumCategories
@@ -136,9 +132,7 @@ var catInfo = [NumCategories]struct {
 	ABytesWBProactive:    {"wb.proactive", DomDRAMBus},
 	ABytesWBAWBHarvest:   {"wb.awb_harvest", DomDRAMBus},
 	ABytesDBIDrain:       {"dbi.drain", DomDRAMBus},
-	ABytesWBEager:        {"wb.eager", DomDRAMBus},
 	ABytesWBFlush:        {"wb.flush", DomDRAMBus},
-	ABytesWBDMA:          {"wb.dma", DomDRAMBus},
 }
 
 // domInfo names each domain, gives its unit, and marks the closed
@@ -238,14 +232,6 @@ func (a *Attribution) ChargeDomain(d Domain, n uint64) {
 		return
 	}
 	a.v.Doms[d] += n
-}
-
-// Reset zeroes the ledger (power-on state, used by System.Reset).
-func (a *Attribution) Reset() {
-	if a == nil {
-		return
-	}
-	a.v = AttrValues{}
 }
 
 // Values returns a copy of the ledger state, for snapshots.

@@ -54,7 +54,7 @@ type Generator interface {
 // Resetter is a Generator whose state can be returned to power-on for a
 // new profile, base and seed without reallocating its internal tables.
 // A reset generator produces the exact stream a freshly constructed one
-// would — the contract the sweep worker pool's reuse rests on.
+// would — the contract the pooled machines' power-on rewind rests on.
 type Resetter interface {
 	Generator
 	Reset(p Profile, base addr.Addr, seed int64)

@@ -289,3 +289,35 @@ func sameKeys(a, b []Key) bool {
 	}
 	return true
 }
+
+// TestMaxKeyRowSizeOne pins that every uint64 key is trackable: with
+// row size 1 each key is its own row, so the all-ones key is also the
+// all-ones row tag and must round-trip like any other.
+func TestMaxKeyRowSizeOne(t *testing.T) {
+	single, err := New(WithRows(64), WithRowSize(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := NewSharded(4, WithRows(64), WithRowSize(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = Key(^uint64(0))
+	for name, tr := range map[string]Batcher{"single": single, "sharded": sharded} {
+		if tr.IsDirty(k) {
+			t.Errorf("%s: IsDirty(max) = true before SetDirty", name)
+		}
+		if ev := tr.SetDirty(k); len(ev) != 0 {
+			t.Errorf("%s: SetDirty(max) evicted %v", name, ev)
+		}
+		if !tr.IsDirty(k) {
+			t.Errorf("%s: IsDirty(max) = false after SetDirty", name)
+		}
+		if got := tr.FlushRowsInto([]Key{k}, nil); !sameKeys(got, []Key{k}) {
+			t.Errorf("%s: FlushRows(max) = %v, want [max]", name, got)
+		}
+		if tr.IsDirty(k) {
+			t.Errorf("%s: IsDirty(max) = true after FlushRows", name)
+		}
+	}
+}
