@@ -68,3 +68,25 @@ func BenchmarkMSHRRegisterComplete(b *testing.B) {
 		m.Complete(k)
 	}
 }
+
+// BenchmarkDirtyInLowRanks measures the VWQ Set State Vector query on a
+// full, one-quarter-dirty TA-DIP cache with shuffled recency: the
+// two-deep low-rank test VWQ runs for each row-mate of a dirty victim.
+func BenchmarkDirtyInLowRanks(b *testing.B) {
+	c := benchCache(b)
+	blocks := c.Params().Blocks()
+	for i := 0; i < blocks; i++ {
+		c.Insert(addr.BlockAddr(i), 0, i%4 == 0)
+	}
+	for i := 0; i < blocks; i++ {
+		c.Access(addr.BlockAddr((i*7919)&(blocks-1)), 0)
+	}
+	sets := c.Sets()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkBool = c.DirtyInLowRanks(i&(sets-1), 2)
+	}
+}
+
+// sinkBool keeps benchmarked results live.
+var sinkBool bool

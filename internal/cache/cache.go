@@ -280,18 +280,27 @@ func (c *Cache) Invalidate(b addr.BlockAddr) (old Block, ok bool) {
 // It reports whether the block was found.
 func (c *Cache) SetDirty(b addr.BlockAddr, dirty bool) bool {
 	way, ok := c.find(b)
-	if !ok {
-		return false
+	if ok {
+		c.SetDirtyAt(c.SetOf(b), way, dirty)
 	}
-	c.dirty[c.slot(c.SetOf(b), way)] = b2u8(dirty)
-	return true
+	return ok
 }
 
 // IsDirty reports the tag-entry dirty bit (conventional organization),
 // without counting a lookup.
 func (c *Cache) IsDirty(b addr.BlockAddr) bool {
 	way, ok := c.find(b)
-	return ok && c.dirty[c.slot(c.SetOf(b), way)] != 0
+	return ok && c.DirtyAt(c.SetOf(b), way)
+}
+
+// DirtyAt reports the dirty bit of the block at (set, way), which the
+// caller found resident (by Lookup) in the same operation: a harvest
+// visit reads and clears it without probing the tags again.
+func (c *Cache) DirtyAt(set, way int) bool { return c.dirty[c.slot(set, way)] != 0 }
+
+// SetDirtyAt sets the dirty bit of the resident block at (set, way).
+func (c *Cache) SetDirtyAt(set, way int, dirty bool) {
+	c.dirty[c.slot(set, way)] = b2u8(dirty)
 }
 
 // DirtyBlocksInto appends the addresses of all dirty blocks to dst and

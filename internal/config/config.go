@@ -130,6 +130,10 @@ func (r DBIReplacement) String() string {
 	return fmt.Sprintf("DBIReplacement(%d)", int(r))
 }
 
+// MaxWays bounds cache associativity: the tag probe and the replacement
+// rank query build one bit per way of a set in a uint64.
+const MaxWays = 64
+
 // CacheParams configures one cache level.
 type CacheParams struct {
 	SizeBytes     uint64
@@ -169,6 +173,9 @@ func (c CacheParams) Validate() error {
 		return fmt.Errorf("config: cache block size %d not a power of two", c.BlockSize)
 	case c.Ways <= 0:
 		return fmt.Errorf("config: cache ways %d", c.Ways)
+	case c.Ways > MaxWays:
+		return fmt.Errorf("config: cache ways %d exceed the %d-way limit of the per-set way masks",
+			c.Ways, MaxWays)
 	case c.SizeBytes%(c.BlockSize*uint64(c.Ways)) != 0:
 		return fmt.Errorf("config: cache size %d not divisible into %d-way sets of %dB blocks",
 			c.SizeBytes, c.Ways, c.BlockSize)

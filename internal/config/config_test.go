@@ -1,6 +1,9 @@
 package config
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestMechanismStrings(t *testing.T) {
 	want := map[Mechanism]string{
@@ -81,6 +84,25 @@ func TestCacheParamsValidate(t *testing.T) {
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d: invalid params accepted", i)
+		}
+	}
+}
+
+// TestCacheParamsWayLimit pins the associativity bound: a set's ways
+// must fit the uint64 masks the tag probe and the rank query build, so
+// a fully associative 64-way cache is valid and anything wider is not.
+func TestCacheParamsWayLimit(t *testing.T) {
+	for _, ways := range []int{MaxWays, MaxWays / 2} {
+		p := CacheParams{SizeBytes: uint64(ways) * 64, Ways: ways, BlockSize: 64}
+		if err := p.Validate(); err != nil {
+			t.Errorf("%d ways rejected: %v", ways, err)
+		}
+	}
+	for _, ways := range []int{MaxWays + 1, 2 * MaxWays} {
+		p := CacheParams{SizeBytes: uint64(ways) * 64, Ways: ways, BlockSize: 64}
+		err := p.Validate()
+		if err == nil || !strings.Contains(err.Error(), "64-way limit") {
+			t.Errorf("%d ways: err = %v, want the 64-way limit", ways, err)
 		}
 	}
 }

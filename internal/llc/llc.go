@@ -283,10 +283,13 @@ func (l *LLC) bindCallbacks() {
 			l.mem.Write(blk)
 		}
 	}
+	// The DAWB and VWQ visits probe the tags once, by the counted
+	// Lookup, and then read and clear the dirty bit at the way it found.
 	l.dawbVisit = func(mate addr.BlockAddr) {
 		l.Stat.FillerLookups.Inc()
-		if _, hit := l.Cache.Lookup(mate); hit && l.Cache.IsDirty(mate) {
-			l.Cache.SetDirty(mate, false)
+		way, hit := l.Cache.Lookup(mate)
+		if set := l.Cache.SetOf(mate); hit && l.Cache.DirtyAt(set, way) {
+			l.Cache.SetDirtyAt(set, way, false)
 			l.Stat.ProactiveWBs.Inc()
 			l.Attr.Charge(telemetry.ABytesWBProactive, l.Geo.BlockSize)
 			l.mem.Write(mate)
@@ -295,9 +298,9 @@ func (l *LLC) bindCallbacks() {
 	l.vwqVisit = func(mate addr.BlockAddr) {
 		l.Stat.FillerLookups.Inc()
 		way, hit := l.Cache.Lookup(mate)
-		if hit && l.Cache.IsDirty(mate) &&
-			l.Cache.RankOf(l.Cache.SetOf(mate), way) < l.vwqDepth {
-			l.Cache.SetDirty(mate, false)
+		if set := l.Cache.SetOf(mate); hit && l.Cache.DirtyAt(set, way) &&
+			l.Cache.LowRanks(set, l.vwqDepth)>>uint(way)&1 != 0 {
+			l.Cache.SetDirtyAt(set, way, false)
 			l.Stat.ProactiveWBs.Inc()
 			l.Attr.Charge(telemetry.ABytesWBProactive, l.Geo.BlockSize)
 			l.mem.Write(mate)

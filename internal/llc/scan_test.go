@@ -98,3 +98,60 @@ func TestScanEmptyJobIgnored(t *testing.T) {
 	l.enqueueScan(nil, false, func(addr.BlockAddr) { t.Fatal("visited a block of an empty job") })
 	eng.Run()
 }
+
+// TestHarvestVWQAllocationFree pins the VWQ harvest's zero-allocation
+// contract on a warmed LLC: the Set State Vector query over all 127
+// row-mates and the pooled candidate buffer allocate nothing once the
+// scan queue is full and each new job is dropped.
+func TestHarvestVWQAllocationFree(t *testing.T) {
+	_, l, _ := build(t, config.VWQ)
+	for i := 0; i < l.Prm.Blocks(); i++ {
+		l.Cache.Insert(addr.BlockAddr(i), 0, true)
+	}
+	l.harvestVWQ(0)
+	if len(l.scanQ) != 1 || len(l.scanQ[0].blocks) == 0 {
+		t.Fatal("SSV passed no row-mate of a fully dirty cache")
+	}
+	for i := 0; i < scanQueueCap; i++ {
+		l.harvestVWQ(0)
+	}
+	drops := l.Stat.ScanDrops.Value()
+	if n := testing.AllocsPerRun(50, func() { l.harvestVWQ(0) }); n != 0 {
+		t.Fatalf("harvestVWQ allocates %.1f times per call", n)
+	}
+	if l.Stat.ScanDrops.Value() <= drops {
+		t.Fatal("harvests were not dropped at a full scan queue")
+	}
+}
+
+// TestVWQVisitWritesBackOnlyLowRanks checks the VWQ harvest visit: a
+// dirty row-mate is written back (and cleaned) only when it sits in one
+// of the vwqDepth LRU-most ways of its set; a dirty block nearer MRU is
+// left dirty. Every visit is one counted tag lookup.
+func TestVWQVisitWritesBackOnlyLowRanks(t *testing.T) {
+	_, l, mem := build(t, config.VWQ)
+	sets := addr.BlockAddr(l.Cache.Sets())
+	set := make([]addr.BlockAddr, l.Cache.Ways()) // one set, LRU-most first
+	for i := range set {
+		set[i] = 5 + addr.BlockAddr(i)*sets
+		l.Cache.Insert(set[i], 0, true)
+	}
+	for _, b := range set {
+		l.Cache.Touch(b)
+	}
+	lookups := l.TagLookups()
+	for _, b := range set {
+		l.vwqVisit(b)
+	}
+	if got := l.TagLookups() - lookups; got != uint64(len(set)) {
+		t.Fatalf("%d visits made %d tag lookups", len(set), got)
+	}
+	if len(mem.writes) != l.vwqDepth {
+		t.Fatalf("wrote back %v, want the %d LRU-most blocks", mem.writes, l.vwqDepth)
+	}
+	for i, b := range set {
+		if wrote := i < l.vwqDepth; l.Cache.IsDirty(b) == wrote || (wrote && mem.writes[i] != b) {
+			t.Errorf("block at rank %d: dirty=%v after the visit, writes %v", i, l.Cache.IsDirty(b), mem.writes)
+		}
+	}
+}

@@ -1,50 +1,61 @@
 package replacement
 
-// Ranker is implemented by policies that can order the ways of a set by
-// eviction priority: rank 0 is the next victim (LRU-most position).
-// The Virtual Write Queue's Set State Vector consults ranks to find dirty
-// blocks in the LRU ways without a full tag lookup.
-type Ranker interface {
-	// Rank returns the eviction rank of (set, way): 0 = next victim.
-	Rank(set, way int) int
+// lowest returns the mask of the k ways whose keys, XORed with flip, are
+// smallest, ties broken by way index: the ways holding ranks 0..k-1 when
+// rank 0 is the smallest (key^flip, way). It makes one pass over the
+// set, keeping the best k ways seen so far in a window sorted by that
+// order, and allocates nothing. A set has at most 64 ways (see
+// config.CacheParams.Validate), so the mask and the window fit.
+func lowest[K uint8 | uint64](keys []K, k int, flip K) uint64 {
+	n := len(keys)
+	if k <= 0 {
+		return 0
+	}
+	if k >= n {
+		return ^uint64(0) >> uint(64-n)
+	}
+	var top [64]uint8 // window of way indices, sorted ascending
+	m := 0
+	for w := range keys {
+		v := keys[w] ^ flip
+		// Ways arrive in index order, so a key equal to a windowed one
+		// ranks after it: only a strictly smaller key displaces.
+		if m == k {
+			if v >= keys[top[m-1]]^flip {
+				continue
+			}
+			m--
+		}
+		j := m
+		for j > 0 && v < keys[top[j-1]]^flip {
+			top[j] = top[j-1]
+			j--
+		}
+		top[j] = uint8(w)
+		m++
+	}
+	var mask uint64
+	for _, w := range top[:m] {
+		mask |= 1 << w
+	}
+	return mask
 }
 
-// rank returns how many ways of the set have strictly smaller stamps
-// (ties broken by way index), i.e. the way's distance from the LRU end.
-func (s *lruState) rank(set, way int) int {
-	self := s.stamps[set*s.ways+way]
-	r := 0
-	for w := 0; w < s.ways; w++ {
-		if w == way {
-			continue
-		}
-		v := s.stamps[set*s.ways+w]
-		if v < self || (v == self && w < way) {
-			r++
-		}
-	}
-	return r
+// lowRanks orders ways by ascending recency stamp: the LRU-most way is
+// rank 0.
+func (s *lruState) lowRanks(set, k int) uint64 {
+	return lowest(s.stamps[set*s.ways:(set+1)*s.ways], k, 0)
 }
 
-// Rank implements Ranker.
-func (l *LRU) Rank(set, way int) int { return l.s.rank(set, way) }
+// LowRanks implements Policy.
+func (l *LRU) LowRanks(set, k int) uint64 { return l.s.lowRanks(set, k) }
 
-// Rank implements Ranker.
-func (d *TADIP) Rank(set, way int) int { return d.s.rank(set, way) }
+// LowRanks implements Policy.
+func (d *TADIP) LowRanks(set, k int) uint64 { return d.s.lowRanks(set, k) }
 
-// Rank implements Ranker: ways with larger RRPVs are closer to eviction
-// (rank 0), ties broken by way index.
-func (d *DRRIP) Rank(set, way int) int {
-	self := d.r.rrpv[set*d.r.ways+way]
-	r := 0
-	for w := 0; w < d.r.ways; w++ {
-		if w == way {
-			continue
-		}
-		v := d.r.rrpv[set*d.r.ways+w]
-		if v > self || (v == self && w < way) {
-			r++
-		}
-	}
-	return r
+// LowRanks implements Policy: ways with larger RRPVs are closer to
+// eviction. Flipping every bit of a uint8 reverses its order, so the
+// ascending selection yields descending RRPVs.
+func (d *DRRIP) LowRanks(set, k int) uint64 {
+	return lowest(d.r.rrpv[set*d.r.ways:(set+1)*d.r.ways], k, 0xFF)
 }

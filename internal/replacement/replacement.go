@@ -26,6 +26,12 @@ type Policy interface {
 	OnMiss(set, thread int)
 	// Victim returns the way to evict from a full set.
 	Victim(set int) int
+	// LowRanks returns the mask of the set's ways holding eviction
+	// ranks 0..k-1, where rank 0 is the way closest to eviction (the
+	// LRU-most way, or the largest RRPV), ties broken by way index. The
+	// Virtual Write Queue's Set State Vector consults it to find dirty
+	// blocks in the LRU ways without a full tag lookup.
+	LowRanks(set, k int) uint64
 	// Reseed restarts the policy's random stream exactly as construction
 	// with seed would. Together with Restore from a power-on snapshot it
 	// yields the policy a fresh New with that seed would build.

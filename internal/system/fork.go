@@ -293,12 +293,7 @@ func (p *ForkPool) Run(cfg config.SystemConfig, benches []string, seed int64) (R
 		return Results{}, err
 	}
 	if err := m.sys.RunWarmup(); err != nil {
-		// Phase-split refused (zero warmup is excluded above, so this
-		// is unreachable in practice). The machine is untouched; run it
-		// whole.
-		PoolStat.RefusedWarmup.Add(1)
-		poolEvent(p.workerID(), "refuse:warmup", err.Error())
-		return m.sys.Run(), nil
+		return Results{}, err // only a zero warmup refuses, excluded above
 	}
 	p.clock++
 	c := m.take(key, p.clock)

@@ -58,13 +58,11 @@ type PoolCounters struct {
 	//   - Restore: a retained checkpoint failed to restore or measure
 	//     and was dropped.
 	//   - Snapshot: the warmup boundary could not be captured.
-	//   - Warmup: RunWarmup refused the phase split; the cell ran whole.
 	//   - Overhang: a core issued its full measurement budget during the
 	//     warmup overhang, so only a scratch run reproduces the cell.
 	RefusedDisabled atomic.Uint64
 	RefusedRestore  atomic.Uint64
 	RefusedSnapshot atomic.Uint64
-	RefusedWarmup   atomic.Uint64
 	RefusedOverhang atomic.Uint64
 }
 
@@ -87,7 +85,6 @@ type PoolSnapshot struct {
 	RefusedDisabled  uint64 `json:"refused_disabled"`
 	RefusedRestore   uint64 `json:"refused_restore"`
 	RefusedSnapshot  uint64 `json:"refused_snapshot"`
-	RefusedWarmup    uint64 `json:"refused_warmup"`
 	RefusedOverhang  uint64 `json:"refused_overhang"`
 }
 
@@ -107,7 +104,6 @@ func (c *PoolCounters) Snapshot() PoolSnapshot {
 		RefusedDisabled:  c.RefusedDisabled.Load(),
 		RefusedRestore:   c.RefusedRestore.Load(),
 		RefusedSnapshot:  c.RefusedSnapshot.Load(),
-		RefusedWarmup:    c.RefusedWarmup.Load(),
 		RefusedOverhang:  c.RefusedOverhang.Load(),
 	}
 }
@@ -127,7 +123,6 @@ func (s PoolSnapshot) Sub(prev PoolSnapshot) PoolSnapshot {
 		RefusedDisabled:  s.RefusedDisabled - prev.RefusedDisabled,
 		RefusedRestore:   s.RefusedRestore - prev.RefusedRestore,
 		RefusedSnapshot:  s.RefusedSnapshot - prev.RefusedSnapshot,
-		RefusedWarmup:    s.RefusedWarmup - prev.RefusedWarmup,
 		RefusedOverhang:  s.RefusedOverhang - prev.RefusedOverhang,
 	}
 }
@@ -161,7 +156,6 @@ func RegisterPoolMetrics(reg *telemetry.Registry) {
 	reg.Counter("fork.refused_disabled", c.RefusedDisabled.Load)
 	reg.Counter("fork.refused_restore", c.RefusedRestore.Load)
 	reg.Counter("fork.refused_snapshot", c.RefusedSnapshot.Load)
-	reg.Counter("fork.refused_warmup", c.RefusedWarmup.Load)
 	reg.Counter("fork.refused_overhang", c.RefusedOverhang.Load)
 }
 
