@@ -63,6 +63,15 @@ type Cache struct {
 
 	policy replacement.Policy
 
+	// ssv memoizes the Set State Vector query (DirtyInLowRanks) per set:
+	// ssvUnknown, ssvClean or ssvDirty, for depth ssvK. It is nil until
+	// the first query, so caches nobody asks (L1, L2, non-VWQ LLCs) pay
+	// one nil check per state change. Every write to a set's tag or dirty
+	// column and every Policy call that can move its ranks clears the
+	// set's entry (forget); Restore clears them all.
+	ssv  []uint8
+	ssvK int
+
 	// Stats is exported for the owning level to read.
 	Stats Stats
 }
@@ -198,49 +207,63 @@ func (c *Cache) Lookup(b addr.BlockAddr) (way int, hit bool) {
 }
 
 // Access performs a demand access: a counted tag lookup that updates
-// recency on a hit and dueling state on a miss.
-func (c *Cache) Access(b addr.BlockAddr, thread int) (hit bool) {
+// recency on a hit and dueling state on a miss. Like Lookup it returns
+// the way it found, so a store hit sets the dirty bit by SetDirtyAt
+// without probing the tags again.
+func (c *Cache) Access(b addr.BlockAddr, thread int) (way int, hit bool) {
 	c.Stats.TagLookups.Inc()
 	set := c.SetOf(b)
 	if way, ok := c.find(b); ok {
+		c.forget(set)
 		c.policy.Touch(set, way)
 		c.Stats.Hits.Inc()
-		return true
+		return way, true
 	}
+	// OnMiss moves only the dueling selectors, never a set's ranks.
 	c.policy.OnMiss(set, thread)
 	c.Stats.Misses.Inc()
-	return false
+	return 0, false
 }
 
 // Touch promotes a resident block without a counted lookup (used when the
 // lookup cost was already paid by the caller in the same operation).
 func (c *Cache) Touch(b addr.BlockAddr) {
 	if way, ok := c.find(b); ok {
-		c.policy.Touch(c.SetOf(b), way)
+		set := c.SetOf(b)
+		c.forget(set)
+		c.policy.Touch(set, way)
 	}
 }
 
-// Insert fills a block, returning the evicted victim (Valid=false when an
-// invalid way was used). The caller decides what to do with a dirty
-// victim (writeback) and with the victim's DBI state.
-func (c *Cache) Insert(b addr.BlockAddr, thread int, dirty bool) (victim Block) {
+// Insert fills a block, returning the way it occupies and the evicted
+// victim (Valid=false when an invalid way was used). The caller decides
+// what to do with a dirty victim (writeback) and with the victim's DBI
+// state. A block already present keeps its way and recency; dirty=true
+// marks it dirty.
+//
+// Nothing empties a slot once filled, so a set's valid ways are always a
+// prefix: a set whose last way is valid is full, and only a set still
+// filling is scanned for its first empty way.
+func (c *Cache) Insert(b addr.BlockAddr, thread int, dirty bool) (way int, victim Block) {
 	set := c.SetOf(b)
 	if way, ok := c.find(b); ok {
-		// Already present: refresh dirty state only.
 		if dirty {
+			c.forget(set)
 			c.dirty[c.slot(set, way)] = 1
 		}
-		return Block{}
+		return way, Block{}
 	}
-	way := -1
+	c.forget(set)
 	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if !c.validAt(base + w) {
-			way = w
-			break
+	way = c.ways - 1
+	if !c.validAt(base + way) {
+		for w := 0; w < way; w++ {
+			if !c.validAt(base + w) {
+				way = w
+				break
+			}
 		}
-	}
-	if way < 0 {
+	} else {
 		way = c.policy.Victim(set)
 		victim = c.BlockAt(set, way)
 		c.Stats.Evictions.Inc()
@@ -254,7 +277,14 @@ func (c *Cache) Insert(b addr.BlockAddr, thread int, dirty bool) (victim Block) 
 	c.threads[i] = int32(thread)
 	c.policy.Insert(set, way, thread)
 	c.Stats.Inserts.Inc()
-	return victim
+	return way, victim
+}
+
+// Holds reports whether the slot (set, way) holds block b. A caller that
+// kept the way Insert returned checks with it that the block is still
+// there, without probing the set.
+func (c *Cache) Holds(set, way int, b addr.BlockAddr) bool {
+	return c.tags[c.slot(set, way)] == tagOf(b)
 }
 
 func b2u8(b bool) uint8 {
@@ -262,18 +292,6 @@ func b2u8(b bool) uint8 {
 		return 1
 	}
 	return 0
-}
-
-// Invalidate removes a block if present and returns its prior state.
-func (c *Cache) Invalidate(b addr.BlockAddr) (old Block, ok bool) {
-	way, ok := c.find(b)
-	if !ok {
-		return Block{}, false
-	}
-	set := c.SetOf(b)
-	old = c.BlockAt(set, way)
-	c.tags[c.slot(set, way)] = emptyTag
-	return old, true
 }
 
 // SetDirty marks a resident block dirty (conventional organization).
@@ -300,6 +318,7 @@ func (c *Cache) DirtyAt(set, way int) bool { return c.dirty[c.slot(set, way)] !=
 
 // SetDirtyAt sets the dirty bit of the resident block at (set, way).
 func (c *Cache) SetDirtyAt(set, way int, dirty bool) {
+	c.forget(set)
 	c.dirty[c.slot(set, way)] = b2u8(dirty)
 }
 

@@ -36,12 +36,16 @@ func TestNewRejectsBadParams(t *testing.T) {
 func TestAccessHitMiss(t *testing.T) {
 	c := mustNew(t, smallParams())
 	b := addr.BlockAddr(0x100)
-	if c.Access(b, 0) {
+	if _, hit := c.Access(b, 0); hit {
 		t.Fatal("hit on empty cache")
 	}
 	c.Insert(b, 0, false)
-	if !c.Access(b, 0) {
+	way, hit := c.Access(b, 0)
+	if !hit {
 		t.Fatal("miss after insert")
+	}
+	if blk := c.BlockAt(c.SetOf(b), way); blk.Addr != b {
+		t.Fatalf("Access returned way %d holding %+v, want block %#x", way, blk, uint64(b))
 	}
 	if c.Stats.Hits.Value() != 1 || c.Stats.Misses.Value() != 1 {
 		t.Fatalf("hits=%d misses=%d", c.Stats.Hits.Value(), c.Stats.Misses.Value())
@@ -65,13 +69,13 @@ func TestInsertEvictsLRU(t *testing.T) {
 	c := mustNew(t, smallParams())
 	// Fill set 0 with blocks 0,16,32,48 (all map to set 0).
 	for i := 0; i < 4; i++ {
-		if v := c.Insert(addr.BlockAddr(i*16), 0, false); v.Valid {
+		if _, v := c.Insert(addr.BlockAddr(i*16), 0, false); v.Valid {
 			t.Fatalf("eviction while filling invalid ways: %+v", v)
 		}
 	}
 	// Touch block 0 so block 16 is LRU.
 	c.Touch(0)
-	v := c.Insert(addr.BlockAddr(4*16), 0, false)
+	_, v := c.Insert(addr.BlockAddr(4*16), 0, false)
 	if !v.Valid || v.Addr != 16 {
 		t.Fatalf("victim = %+v, want block 16", v)
 	}
@@ -85,7 +89,7 @@ func TestInsertDirtyVictim(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c.Insert(addr.BlockAddr(i*16), 0, i == 0) // block 0 dirty
 	}
-	v := c.Insert(addr.BlockAddr(4*16), 0, false)
+	_, v := c.Insert(addr.BlockAddr(4*16), 0, false)
 	if !v.Valid || v.Addr != 0 || !v.Dirty {
 		t.Fatalf("victim = %+v, want dirty block 0", v)
 	}
@@ -97,7 +101,7 @@ func TestInsertDirtyVictim(t *testing.T) {
 func TestInsertExistingMergesDirty(t *testing.T) {
 	c := mustNew(t, smallParams())
 	c.Insert(7, 0, false)
-	v := c.Insert(7, 0, true)
+	_, v := c.Insert(7, 0, true)
 	if v.Valid {
 		t.Fatalf("re-insert evicted %+v", v)
 	}
@@ -135,21 +139,6 @@ func TestDirtyBitOps(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := mustNew(t, smallParams())
-	c.Insert(9, 0, true)
-	old, ok := c.Invalidate(9)
-	if !ok || !old.Dirty || old.Addr != 9 {
-		t.Fatalf("Invalidate = %+v, %v", old, ok)
-	}
-	if c.Contains(9) {
-		t.Fatal("block still present")
-	}
-	if _, ok := c.Invalidate(9); ok {
-		t.Fatal("double invalidate reported ok")
-	}
-}
-
 func TestLookupCountsButDoesNotPromote(t *testing.T) {
 	c := mustNew(t, smallParams())
 	for i := 0; i < 4; i++ {
@@ -159,7 +148,7 @@ func TestLookupCountsButDoesNotPromote(t *testing.T) {
 	if _, hit := c.Lookup(0); !hit {
 		t.Fatal("lookup missed resident block")
 	}
-	v := c.Insert(addr.BlockAddr(4*16), 0, false)
+	_, v := c.Insert(addr.BlockAddr(4*16), 0, false)
 	if v.Addr != 0 {
 		t.Fatalf("victim = %+v; Lookup must not refresh recency", v)
 	}
@@ -175,8 +164,9 @@ func TestCountValid(t *testing.T) {
 	}
 }
 
-// Property: the cache never holds two copies of a block and never exceeds
-// its capacity, under arbitrary insert/invalidate sequences.
+// Property: the cache never holds two copies of a block, never exceeds
+// its capacity and keeps every set's valid ways a prefix, under
+// arbitrary insert/dirty/access sequences.
 func TestQuickCacheInvariants(t *testing.T) {
 	f := func(ops []uint16) bool {
 		c, err := New(smallParams(), 1, 7)
@@ -188,23 +178,20 @@ func TestQuickCacheInvariants(t *testing.T) {
 			b := addr.BlockAddr(op % 256)
 			switch op % 3 {
 			case 0:
-				v := c.Insert(b, 0, op%5 == 0)
+				_, v := c.Insert(b, 0, op%5 == 0)
 				live[b] = true
 				if v.Valid {
 					delete(live, v.Addr)
 				}
 			case 1:
-				if old, ok := c.Invalidate(b); ok {
-					if old.Addr != b {
-						return false
-					}
-					delete(live, b)
+				if c.SetDirty(b, op%7 == 0) != live[b] {
+					return false
 				}
 			case 2:
 				c.Access(b, 0)
 			}
 		}
-		if c.CountValid() > c.Sets()*c.Ways() {
+		if c.CountValid() > c.Sets()*c.Ways() || !validPrefix(c) {
 			return false
 		}
 		for b := range live {
@@ -236,4 +223,20 @@ func TestBlockAt(t *testing.T) {
 	if !found {
 		t.Fatal("inserted block not found via BlockAt")
 	}
+}
+
+// validPrefix reports whether every set's valid ways are ways 0..n-1 for
+// some n: the invariant Insert relies on to skip its empty-way scan.
+func validPrefix(c *Cache) bool {
+	for set := 0; set < c.Sets(); set++ {
+		full := true
+		for w := 0; w < c.Ways(); w++ {
+			v := c.BlockAt(set, w).Valid
+			if v && !full {
+				return false
+			}
+			full = v
+		}
+	}
+	return true
 }

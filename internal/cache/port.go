@@ -116,23 +116,17 @@ func (p *Port) RegisterMetrics(reg *telemetry.Registry, prefix string) {
 // instead of issuing duplicate fills.
 //
 // The file is hardware-shaped rather than map-backed: a fixed slab of
-// capacity entries threaded on an intrusive free list, indexed by an
-// open-addressed, linear-probed table sized to at most 25% load. The
-// probe plane is two parallel dense columns — the occupancy/index word
-// and the block key — so a probe compares contiguous uint64 keys
-// without dereferencing into the entry slab; the slab holds only cold
-// payload (free-list links, waiter slices). Waiter slices are recycled
-// through a small pool, so the steady state neither allocates nor
-// hashes through the Go runtime.
+// capacity entries threaded on an intrusive free list, indexed by a
+// ProbeTable sized so it never grows. The slab holds only cold payload
+// (free-list links, waiter slices). Waiter slices are recycled through
+// a small pool, so the steady state neither allocates nor hashes
+// through the Go runtime.
 type MSHR struct {
 	capacity int
-	n        int         // live entries
 	entries  []mshrEntry // fixed slab, len == capacity
 	freeHead int32       // head of the free list through entries, -1 = none
-	table    []int32     // probe array: 0 = empty, else entry index + 1
-	keys     []uint64    // block key per occupied slot, parallel to table
-	mask     uint64
-	wsFree   [][]func() // recycled waiter slices (capacity retained)
+	table    *ProbeTable // block → entry index
+	wsFree   [][]func()  // recycled waiter slices (capacity retained)
 }
 
 type mshrEntry struct {
@@ -140,22 +134,13 @@ type mshrEntry struct {
 	waiters []func()
 }
 
-// mshrHashMul is the 64-bit Fibonacci-hashing multiplier (2^64/φ, odd).
-const mshrHashMul = 0x9E3779B97F4A7C15
-
 // NewMSHR returns an MSHR file with the given capacity.
 func NewMSHR(capacity int) *MSHR {
-	size := uint64(8)
-	for size < 4*uint64(max(capacity, 1)) {
-		size <<= 1
-	}
 	m := &MSHR{
 		capacity: capacity,
 		entries:  make([]mshrEntry, capacity),
 		freeHead: -1,
-		table:    make([]int32, size),
-		keys:     make([]uint64, size),
-		mask:     size - 1,
+		table:    NewProbeTable(capacity),
 	}
 	for i := range m.entries {
 		m.entries[i].next = int32(i) + 1
@@ -167,34 +152,19 @@ func NewMSHR(capacity int) *MSHR {
 	return m
 }
 
-// findSlot probes for block. It returns the matching table slot and
-// entry index, or (first empty slot, -1) when the block is absent. The
-// probe loop reads only the two dense columns: occupancy from table,
-// the key compare from keys — the entry slab is untouched.
-func (m *MSHR) findSlot(block uint64) (slot uint64, idx int32) {
-	i := (block * mshrHashMul) & m.mask
-	for m.table[i] != 0 {
-		if m.keys[i] == block {
-			return i, m.table[i] - 1
-		}
-		i = (i + 1) & m.mask
-	}
-	return i, -1
-}
-
 // Len reports outstanding entries.
-func (m *MSHR) Len() int { return m.n }
+func (m *MSHR) Len() int { return m.table.Len() }
 
 // Full reports whether a new (non-merging) allocation would exceed
 // capacity.
-func (m *MSHR) Full() bool { return m.n >= m.capacity }
+func (m *MSHR) Full() bool { return m.table.Len() >= m.capacity }
 
 // Register adds a waiter for a block. It reports whether this is the
 // first (allocating) request, i.e. the caller must issue the fill.
 // Registering a new block on a full MSHR panics; callers must check Full
 // and stall instead.
 func (m *MSHR) Register(block uint64, wake func()) (first bool) {
-	slot, idx := m.findSlot(block)
+	slot, idx := m.table.Find(block)
 	if idx >= 0 {
 		e := &m.entries[idx]
 		e.waiters = append(e.waiters, wake)
@@ -212,15 +182,13 @@ func (m *MSHR) Register(block uint64, wake func()) (first bool) {
 		m.wsFree = m.wsFree[:n-1]
 	}
 	e.waiters = append(e.waiters, wake)
-	m.table[slot] = idx + 1
-	m.keys[slot] = block
-	m.n++
+	m.table.InsertAt(slot, block, idx)
 	return true
 }
 
 // Outstanding reports whether the block has an MSHR entry.
 func (m *MSHR) Outstanding(block uint64) bool {
-	_, idx := m.findSlot(block)
+	_, idx := m.table.Find(block)
 	return idx >= 0
 }
 
@@ -229,7 +197,7 @@ func (m *MSHR) Outstanding(block uint64) bool {
 // waiter may re-register the same block (taking a fresh entry) without
 // observing a phantom outstanding miss.
 func (m *MSHR) Complete(block uint64) {
-	slot, idx := m.findSlot(block)
+	slot, idx := m.table.Find(block)
 	if idx < 0 {
 		return
 	}
@@ -238,37 +206,11 @@ func (m *MSHR) Complete(block uint64) {
 	e.waiters = nil
 	e.next = m.freeHead
 	m.freeHead = idx
-	m.n--
-	m.deleteSlot(slot)
+	m.table.DeleteAt(slot)
 	for _, w := range ws {
 		if w != nil {
 			w()
 		}
 	}
 	m.wsFree = append(m.wsFree, ws[:0])
-}
-
-// deleteSlot removes table slot i with the backward-shift technique for
-// linear probing: subsequent cluster members whose home slot lies at or
-// before the vacated position are shifted back, so no tombstones are
-// needed and probe chains never grow stale.
-func (m *MSHR) deleteSlot(i uint64) {
-	for {
-		m.table[i] = 0
-		m.keys[i] = 0
-		j := i
-		for {
-			j = (j + 1) & m.mask
-			if m.table[j] == 0 {
-				return
-			}
-			home := (m.keys[j] * mshrHashMul) & m.mask
-			if (j-home)&m.mask >= (j-i)&m.mask {
-				m.table[i] = m.table[j]
-				m.keys[i] = m.keys[j]
-				i = j
-				break
-			}
-		}
-	}
 }

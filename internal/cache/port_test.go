@@ -138,7 +138,7 @@ func TestMSHRCompleteUnknownBlock(t *testing.T) {
 // deletion to move cluster members, must leave every survivor findable.
 func TestMSHRCollisionChains(t *testing.T) {
 	m := NewMSHR(8)
-	home := func(k uint64) uint64 { return (k * mshrHashMul) & m.mask }
+	home := m.table.home
 
 	// Collect 5 distinct keys whose home slot collides with key 1's.
 	keys := []uint64{1}

@@ -9,14 +9,13 @@ import (
 )
 
 // TestDirtyInLowRanksMatchesBruteForce drives an LRU cache with random
-// accesses, fills, touches, dirty-bit writes and invalidations (which
-// leave stale dirty bytes behind), keeping its own recency clock, and
-// checks every set after every step against a brute-force scan: some
-// valid dirty way whose rank — the number of ways with a smaller
-// (recency, way) — is below k.
+// accesses, fills, touches and dirty-bit writes, keeping its own
+// recency clock, and checks every set after every step against a
+// brute-force scan: some valid dirty way whose rank — the number of
+// ways with a smaller (recency, way) — is below k.
 func TestDirtyInLowRanksMatchesBruteForce(t *testing.T) {
 	const sets, ways = 4, 16
-	p := config.CacheParams{SizeBytes: 64 * sets * ways, Ways: ways, BlockSize: 64,
+	p := config.CacheParams{SizeBytes: uint64(64 * sets * ways), Ways: ways, BlockSize: 64,
 		Replacement: config.ReplLRU}
 	c := mustNew(t, p)
 	last := make([]uint64, sets*ways) // recency of each slot; 0 = untouched
@@ -42,7 +41,7 @@ func TestDirtyInLowRanksMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for step := 0; step < 20000; step++ {
 		b := addr.BlockAddr(rng.Intn(sets * ways * 3))
-		switch rng.Intn(5) {
+		switch rng.Intn(4) {
 		case 0:
 			if c.Contains(b) {
 				touch(b)
@@ -55,8 +54,6 @@ func TestDirtyInLowRanksMatchesBruteForce(t *testing.T) {
 			}
 		case 2:
 			c.SetDirty(b, rng.Intn(2) == 0)
-		case 3:
-			c.Invalidate(b)
 		default:
 			if c.Contains(b) {
 				touch(b)
@@ -125,6 +122,65 @@ func TestDirtyInLowRanksAllocationFree(t *testing.T) {
 			set = (set + 1) % c.Sets()
 		}); n != 0 {
 			t.Errorf("%v: DirtyInLowRanks allocates %.1f times per call", r, n)
+		}
+	}
+}
+
+// TestSSVMemoMatchesRecompute is the differential test of the Set State
+// Vector memo: random demand accesses, fills, store hits (SetDirtyAt at
+// the way Access returned), dirty clears and touches, with Snapshot and
+// Restore mid-stream, on every policy at 2, 16 and 64 ways. After every
+// operation the memoized answer for every set must equal a fresh
+// recompute from the replacement state; since the check itself fills the
+// memo for every set, any state change that fails to clear a set's entry
+// shows up as a stale answer at the next check.
+func TestSSVMemoMatchesRecompute(t *testing.T) {
+	for _, r := range []config.ReplacementKind{config.ReplLRU, config.ReplTADIP, config.ReplDRRIP} {
+		for _, ways := range []int{2, 16, 64} {
+			const sets, threads = 8, 2
+			p := config.CacheParams{SizeBytes: uint64(64 * sets * ways), Ways: ways, BlockSize: 64,
+				Replacement: r}
+			c, err := New(p, threads, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := 2
+			if ways == 2 {
+				k = 1
+			}
+			rng := rand.New(rand.NewSource(int64(ways)))
+			var st CacheState
+			snapped := false
+			for op := 0; op < 6000; op++ {
+				b := addr.BlockAddr(rng.Intn(3 * sets * ways))
+				thread := rng.Intn(threads)
+				switch x := rng.Intn(100); {
+				case x < 30:
+					c.Access(b, thread)
+				case x < 60:
+					c.Insert(b, thread, rng.Intn(2) == 0)
+				case x < 75:
+					if way, hit := c.Access(b, thread); hit {
+						c.SetDirtyAt(c.SetOf(b), way, true)
+					}
+				case x < 85:
+					if way, hit := c.Lookup(b); hit {
+						c.SetDirtyAt(c.SetOf(b), way, false)
+					}
+				case x < 98:
+					c.Touch(b)
+				case !snapped:
+					c.Snapshot(&st)
+					snapped = true
+				default:
+					c.Restore(&st)
+				}
+				for set := 0; set < sets; set++ {
+					if got, want := c.DirtyInLowRanks(set, k), c.dirtyInLowRanks(set, k); got != want {
+						t.Fatalf("%v %d-way op %d set %d: memoized SSV %v, recomputed %v", r, ways, op, set, got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -20,9 +20,10 @@ func driveCache(c *Cache, seed int64) ([]bool, []Block, []addr.BlockAddr) {
 		b := addr.BlockAddr(rng.Intn(256))
 		switch rng.Intn(3) {
 		case 0:
-			hits = append(hits, c.Access(b, 0))
+			_, hit := c.Access(b, 0)
+			hits = append(hits, hit)
 		case 1:
-			if v := c.Insert(b, 0, rng.Intn(2) == 0); v.Valid {
+			if _, v := c.Insert(b, 0, rng.Intn(2) == 0); v.Valid {
 				victims = append(victims, v)
 			}
 		case 2:

@@ -35,8 +35,10 @@ func (c *Cache) Snapshot(st *CacheState) {
 
 // Restore writes st back. Every slot is restored — including the stale
 // payload of invalid slots, which read paths never observe — so the
-// tag store is bitwise the captured one.
+// tag store is bitwise the captured one. The Set State Vector memo is
+// derived from that state, not part of it: Restore forgets every set.
 func (c *Cache) Restore(st *CacheState) {
+	clear(c.ssv)
 	copy(c.tags, st.tags)
 	copy(c.dirty, st.dirty)
 	copy(c.threads, st.threads)
@@ -96,21 +98,18 @@ type mshrSlot struct {
 }
 
 // MSHRState is a checkpoint of an MSHR file: the entry slab, the probe
-// table with its parallel key column and the free-list head. Free-slot
-// contents are saved too — free-list link order is part of allocation
-// behavior, and keeping it exact is cheaper than arguing it doesn't
-// matter.
+// table and the free-list head. Free-slot contents are saved too —
+// free-list link order is part of allocation behavior, and keeping it
+// exact is cheaper than arguing it doesn't matter.
 type MSHRState struct {
-	n        int
 	freeHead int32
 	slots    []mshrSlot
-	table    []int32
-	keys     []uint64
+	table    ProbeTable
 }
 
 // Snapshot captures the MSHR into st.
 func (m *MSHR) Snapshot(st *MSHRState) {
-	st.n, st.freeHead = m.n, m.freeHead
+	st.freeHead = m.freeHead
 	if len(st.slots) != len(m.entries) {
 		st.slots = make([]mshrSlot, len(m.entries))
 	}
@@ -121,18 +120,13 @@ func (m *MSHR) Snapshot(st *MSHRState) {
 		s.hasW = e.waiters != nil
 		s.waiters = append(s.waiters[:0], e.waiters...)
 	}
-	if len(st.table) != len(m.table) {
-		st.table = make([]int32, len(m.table))
-		st.keys = make([]uint64, len(m.keys))
-	}
-	copy(st.table, m.table)
-	copy(st.keys, m.keys)
+	m.table.CopyTo(&st.table)
 }
 
 // Restore writes st back, recycling or reattaching waiter slices so the
 // restored file allocates exactly like the captured one would have.
 func (m *MSHR) Restore(st *MSHRState) {
-	m.n, m.freeHead = st.n, st.freeHead
+	m.freeHead = st.freeHead
 	for i := range m.entries {
 		e := &m.entries[i]
 		s := &st.slots[i]
@@ -155,6 +149,5 @@ func (m *MSHR) Restore(st *MSHRState) {
 			e.waiters = nil
 		}
 	}
-	copy(m.table, st.table)
-	copy(m.keys, st.keys)
+	st.table.CopyTo(m.table)
 }

@@ -63,16 +63,16 @@ func (c *refCache) find(b addr.BlockAddr) (way int, ok bool) {
 	return 0, false
 }
 
-func (c *refCache) access(b addr.BlockAddr, thread int) bool {
+func (c *refCache) access(b addr.BlockAddr, thread int) (int, bool) {
 	set := c.setOf(b)
 	if way, ok := c.find(b); ok {
 		c.policy.Touch(set, way)
 		c.hits++
-		return true
+		return way, true
 	}
 	c.policy.OnMiss(set, thread)
 	c.misses++
-	return false
+	return 0, false
 }
 
 func (c *refCache) blockAt(set, way int) Block {
@@ -83,16 +83,16 @@ func (c *refCache) blockAt(set, way int) Block {
 	return Block{Valid: true, Addr: e.addr, Dirty: e.dirty, Thread: e.thread}
 }
 
-func (c *refCache) insert(b addr.BlockAddr, thread int, dirty bool) (victim Block) {
+func (c *refCache) insert(b addr.BlockAddr, thread int, dirty bool) (way int, victim Block) {
 	set := c.setOf(b)
 	if way, ok := c.find(b); ok {
 		if dirty {
 			c.entries[set*c.ways+way].dirty = true
 		}
-		return Block{}
+		return way, Block{}
 	}
 	base := set * c.ways
-	way := -1
+	way = -1
 	for w := 0; w < c.ways; w++ {
 		if !c.entries[base+w].valid {
 			way = w
@@ -110,18 +110,7 @@ func (c *refCache) insert(b addr.BlockAddr, thread int, dirty bool) (victim Bloc
 	c.entries[base+way] = refCacheEntry{valid: true, addr: b, dirty: dirty, thread: thread}
 	c.policy.Insert(set, way, thread)
 	c.inserts++
-	return victim
-}
-
-func (c *refCache) invalidate(b addr.BlockAddr) (Block, bool) {
-	way, ok := c.find(b)
-	if !ok {
-		return Block{}, false
-	}
-	set := c.setOf(b)
-	old := c.blockAt(set, way)
-	c.entries[set*c.ways+way].valid = false
-	return old, true
+	return way, victim
 }
 
 func (c *refCache) setDirty(b addr.BlockAddr, dirty bool) bool {
@@ -172,21 +161,32 @@ func TestCacheDifferentialSoAvsAoS(t *testing.T) {
 				thread := rng.Intn(threads)
 				switch rng.Intn(10) {
 				case 0, 1, 2:
-					if got, want := c.Access(b, thread), ref.access(b, thread); got != want {
-						t.Fatalf("op %d: Access(%#x)=%v, ref %v", op, uint64(b), got, want)
+					gw, gh := c.Access(b, thread)
+					ww, wh := ref.access(b, thread)
+					if gw != ww || gh != wh {
+						t.Fatalf("op %d: Access(%#x)=(%d,%v), ref (%d,%v)", op, uint64(b), gw, gh, ww, wh)
 					}
 				case 3, 4, 5:
 					dirty := rng.Intn(2) == 0
-					got := c.Insert(b, thread, dirty)
-					want := ref.insert(b, thread, dirty)
-					if got != want {
-						t.Fatalf("op %d: Insert(%#x) victim %+v, ref %+v", op, uint64(b), got, want)
+					gw, got := c.Insert(b, thread, dirty)
+					ww, want := ref.insert(b, thread, dirty)
+					if gw != ww || got != want {
+						t.Fatalf("op %d: Insert(%#x) = way %d victim %+v, ref way %d victim %+v", op, uint64(b), gw, got, ww, want)
+					}
+					if !c.Holds(c.SetOf(b), gw, b) || (got.Valid && c.Holds(c.SetOf(b), gw, got.Addr)) {
+						t.Fatalf("op %d: Insert(%#x) returned way %d, which does not hold it or still holds victim %+v", op, uint64(b), gw, got)
 					}
 				case 6:
-					g1, g2 := c.Invalidate(b)
-					w1, w2 := ref.invalidate(b)
-					if g1 != w1 || g2 != w2 {
-						t.Fatalf("op %d: Invalidate(%#x) = (%+v,%v), ref (%+v,%v)", op, uint64(b), g1, g2, w1, w2)
+					// A store: the demand access, then the dirty bit
+					// set at the way it found.
+					gw, gh := c.Access(b, thread)
+					ww, wh := ref.access(b, thread)
+					if gw != ww || gh != wh {
+						t.Fatalf("op %d: store Access(%#x)=(%d,%v), ref (%d,%v)", op, uint64(b), gw, gh, ww, wh)
+					}
+					if gh {
+						c.SetDirtyAt(c.SetOf(b), gw, true)
+						ref.setDirty(b, true)
 					}
 				case 7:
 					dirty := rng.Intn(2) == 0
@@ -200,6 +200,9 @@ func TestCacheDifferentialSoAvsAoS(t *testing.T) {
 				case 9:
 					c.Touch(b)
 					ref.touch(b)
+				}
+				if !validPrefix(c) {
+					t.Fatalf("op %d: a set's valid ways are not a prefix", op)
 				}
 			}
 			// Full structural state must agree: every (set, way) slot view.

@@ -69,10 +69,14 @@ type Core struct {
 	stopped       bool
 
 	// outstanding merges concurrent shared-level fetches to the same
-	// block (the private-level MSHRs). Requests are pooled records with
-	// prebound completion callbacks and recycled waiter slices, so a
-	// miss costs no allocation in steady state.
-	outstanding map[addr.BlockAddr]*sharedReq
+	// block (the private-level MSHRs): it maps a block to the sharedAll
+	// id of its pending fetch. It starts sized for a full window of load
+	// misses, so a restore of the power-on checkpoint keeps that size;
+	// store misses, which hold no window slot, can grow it past that.
+	// Requests are pooled records with prebound completion callbacks and
+	// recycled waiter slices, so a miss costs no allocation once the
+	// table has grown to the core's peak.
+	outstanding *cache.ProbeTable
 	sharedFree  *sharedReq
 	swFree      [][]sharedWaiter
 
@@ -151,7 +155,7 @@ func New(eng *event.Engine, id int, cfg config.SystemConfig, gen trace.Generator
 		window:      cfg.Core.WindowSize,
 		l1Latency:   event.Cycle(cfg.L1.AccessLatency()),
 		l2Latency:   event.Cycle(cfg.L1.AccessLatency() + cfg.L2.AccessLatency()),
-		outstanding: make(map[addr.BlockAddr]*sharedReq),
+		outstanding: cache.NewProbeTable(cfg.Core.WindowSize),
 	}
 	c.stepFn = c.step
 	c.advanceFn = func() {
@@ -380,12 +384,12 @@ func (c *Core) reapLoads() {
 
 // load walks the hierarchy; done fires when data is available.
 func (c *Core) load(b addr.BlockAddr, done func()) {
-	if c.l1.Access(b, 0) {
+	if _, hit := c.l1.Access(b, 0); hit {
 		c.Stat.L1Hits.Inc()
 		c.Eng.After(c.l1Latency, done)
 		return
 	}
-	if c.l2.Access(b, 0) {
+	if _, hit := c.l2.Access(b, 0); hit {
 		c.Stat.L2Hits.Inc()
 		c.fillL1(b, false)
 		c.Eng.After(c.l2Latency, done)
@@ -396,12 +400,12 @@ func (c *Core) load(b addr.BlockAddr, done func()) {
 
 // store performs a write-allocate store; it never blocks the window.
 func (c *Core) store(b addr.BlockAddr) {
-	if c.l1.Access(b, 0) {
+	if way, hit := c.l1.Access(b, 0); hit {
 		c.Stat.L1Hits.Inc()
-		c.l1.SetDirty(b, true)
+		c.l1.SetDirtyAt(c.l1.SetOf(b), way, true)
 		return
 	}
-	if c.l2.Access(b, 0) {
+	if _, hit := c.l2.Access(b, 0); hit {
 		c.Stat.L2Hits.Inc()
 		c.fillL1(b, true)
 		return
@@ -414,13 +418,15 @@ func (c *Core) store(b addr.BlockAddr) {
 // the same block (the private-level MSHRs). Every waiter — including the
 // originator — fills L2 then L1 on completion, in registration order.
 func (c *Core) fetchShared(b addr.BlockAddr, dirty bool, done func()) {
-	if r, ok := c.outstanding[b]; ok {
+	slot, id := c.outstanding.Find(uint64(b))
+	if id >= 0 {
+		r := c.sharedAll[id]
 		r.waiters = append(r.waiters, sharedWaiter{dirty, done})
 		return
 	}
 	r := c.getShared(b)
 	r.waiters = append(r.waiters, sharedWaiter{dirty, done})
-	c.outstanding[b] = r
+	c.outstanding.InsertAt(slot, uint64(b), r.id)
 	c.Stat.LLCAccesses.Inc()
 	r.start = c.Eng.Now()
 	c.llc.Read(b, c.ID, r.fn)
@@ -437,10 +443,25 @@ func (c *Core) completeShared(r *sharedReq) {
 	// The whole shared-level journey: LLC lookup (or bypass), DRAM
 	// queueing, bank service, fill — one span per missed block.
 	c.Trc.Complete("cpu", "llc_read", c.ID, uint64(start), uint64(c.Eng.Now()), uint64(b))
-	delete(c.outstanding, b)
+	slot, _ := c.outstanding.Find(uint64(b))
+	c.outstanding.DeleteAt(slot)
+	// Each waiter fills L2 then L1. Filling a resident block only sets
+	// its dirty bit (for a store), so once a fill has placed the block,
+	// later waiters check the slot it went to instead of probing again.
+	// The block can lose a slot in between: a waiter's done can resume
+	// issue, and an L1 fill's dirty victim is written into L2. Then the
+	// check fails and the next waiter fills the block anew.
+	set1, set2 := c.l1.SetOf(b), c.l2.SetOf(b)
+	way1, way2 := -1, -1
 	for i := range ws {
-		c.fillL2(b)
-		c.fillL1(b, ws[i].dirty)
+		if way2 < 0 || !c.l2.Holds(set2, way2, b) {
+			way2 = c.fillL2(b)
+		}
+		if way1 < 0 || !c.l1.Holds(set1, way1, b) {
+			way1 = c.fillL1(b, ws[i].dirty)
+		} else if ws[i].dirty {
+			c.l1.SetDirtyAt(set1, way1, true)
+		}
 		if ws[i].done != nil {
 			ws[i].done()
 		}
@@ -451,36 +472,31 @@ func (c *Core) completeShared(r *sharedReq) {
 	c.swFree = append(c.swFree, ws[:0])
 }
 
-// fillL1 installs a block in L1, cascading a dirty victim into L2.
-func (c *Core) fillL1(b addr.BlockAddr, dirty bool) {
-	if dirty {
-		// Ensure the dirty bit lands even if the block is resident.
-		if c.l1.Contains(b) {
-			c.l1.SetDirty(b, true)
-			return
-		}
-	}
-	victim := c.l1.Insert(b, 0, dirty)
+// fillL1 installs a block in L1, cascading a dirty victim into L2, and
+// returns its way. A block already resident is only marked dirty (for a
+// store), by the same probe.
+func (c *Core) fillL1(b addr.BlockAddr, dirty bool) int {
+	way, victim := c.l1.Insert(b, 0, dirty)
 	if victim.Valid && victim.Dirty {
 		c.writebackToL2(victim.Addr)
 	}
+	return way
 }
 
-// fillL2 installs a block in L2, cascading a dirty victim to the LLC.
-func (c *Core) fillL2(b addr.BlockAddr) {
-	victim := c.l2.Insert(b, 0, false)
+// fillL2 installs a block in L2, cascading a dirty victim to the LLC,
+// and returns its way.
+func (c *Core) fillL2(b addr.BlockAddr) int {
+	way, victim := c.l2.Insert(b, 0, false)
 	if victim.Valid && victim.Dirty {
 		c.llc.Writeback(victim.Addr, c.ID)
 	}
+	return way
 }
 
-// writebackToL2 delivers an L1 dirty eviction to L2.
+// writebackToL2 delivers an L1 dirty eviction to L2: it marks a
+// resident copy dirty or installs the block dirty, in one probe.
 func (c *Core) writebackToL2(b addr.BlockAddr) {
-	if c.l2.Contains(b) {
-		c.l2.SetDirty(b, true)
-		return
-	}
-	victim := c.l2.Insert(b, 0, true)
+	_, victim := c.l2.Insert(b, 0, true)
 	if victim.Valid && victim.Dirty {
 		c.llc.Writeback(victim.Addr, c.ID)
 	}

@@ -30,9 +30,9 @@ type sharedState struct {
 
 // State is a checkpoint of a Core: both private cache levels, the issue
 // pipeline (window, stall, deferred record), the in-flight load window
-// in order, the outstanding shared-fetch table, budget state and
-// statistics. The zero value is ready; buffers are reused across
-// captures.
+// in order, the outstanding shared-fetch records and their probe table,
+// budget state and statistics. The zero value is ready; buffers are
+// reused across captures.
 type State struct {
 	l1, l2 cache.CacheState
 
@@ -43,8 +43,9 @@ type State struct {
 	deferred      trace.Record
 	stopped       bool
 
-	inflight []slotState
-	shared   []sharedState
+	inflight    []slotState
+	shared      []sharedState
+	outstanding cache.ProbeTable
 
 	budget     uint64
 	done       bool
@@ -73,11 +74,13 @@ func (c *Core) Snapshot(st *State) {
 		st.inflight = append(st.inflight, slotState{s.id, s.seq, s.done})
 	}
 	st.shared = st.shared[:0]
-	for _, r := range c.outstanding {
+	c.outstanding.Each(func(_ uint64, id int32) {
+		r := c.sharedAll[id]
 		i := len(st.shared)
 		st.shared = append(st.shared, sharedState{id: r.id, b: r.b, start: r.start})
 		st.shared[i].waiters = append(st.shared[i].waiters, r.waiters...)
-	}
+	})
+	c.outstanding.CopyTo(&st.outstanding)
 
 	st.budget = c.budget
 	st.done = c.done
@@ -134,7 +137,7 @@ func (c *Core) Restore(st *State) {
 			r.waiters = nil
 		}
 	}
-	clear(c.outstanding)
+	st.outstanding.CopyTo(c.outstanding)
 	for _, rs := range st.shared {
 		r := c.sharedAll[rs.id]
 		r.live = true
@@ -144,7 +147,6 @@ func (c *Core) Restore(st *State) {
 			c.swFree = c.swFree[:n-1]
 		}
 		r.waiters = append(r.waiters, rs.waiters...)
-		c.outstanding[r.b] = r
 	}
 	c.sharedFree = nil
 	for i := len(c.sharedAll) - 1; i >= 0; i-- {

@@ -396,7 +396,7 @@ func (rr *tagReq) lookupDone() {
 	l.putReq(rr)
 	// Span covers queueing for the contended port plus occupancy.
 	l.Trc.Complete("llc", "tag_lookup", telemetry.TIDLLC, uint64(start), uint64(l.Eng.Now()), uint64(b))
-	hit := l.Cache.Access(b, thread)
+	_, hit := l.Cache.Access(b, thread)
 	if l.Pred != nil {
 		l.Pred.Observe(thread, l.Cache.SetOf(b), hit, l.Eng.Now())
 	}
@@ -486,7 +486,7 @@ func (l *LLC) fetch(b addr.BlockAddr, done func(), allocate bool, thread int) {
 
 // fill inserts a clean block fetched from memory and handles the victim.
 func (l *LLC) fill(b addr.BlockAddr, thread int) {
-	victim := l.Cache.Insert(b, thread, false)
+	_, victim := l.Cache.Insert(b, thread, false)
 	if victim.Valid {
 		l.handleEviction(victim)
 	}
@@ -511,7 +511,7 @@ func (rr *tagReq) writebackDone() {
 	switch l.Mech {
 	case config.SkipCache:
 		// Write-through: update/allocate but never hold dirty data.
-		victim := l.Cache.Insert(b, thread, false)
+		_, victim := l.Cache.Insert(b, thread, false)
 		if victim.Valid {
 			l.handleEviction(victim)
 		}
@@ -520,13 +520,13 @@ func (rr *tagReq) writebackDone() {
 		l.mem.Write(b)
 	default:
 		if l.DBI != nil {
-			victim := l.Cache.Insert(b, thread, false)
+			_, victim := l.Cache.Insert(b, thread, false)
 			if victim.Valid {
 				l.handleEviction(victim)
 			}
 			l.dbiSetDirty(b)
 		} else {
-			victim := l.Cache.Insert(b, thread, true)
+			_, victim := l.Cache.Insert(b, thread, true)
 			if victim.Valid {
 				l.handleEviction(victim)
 			}
